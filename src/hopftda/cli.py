@@ -12,21 +12,18 @@ import argparse
 import csv
 import json
 import logging
-import multiprocessing
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dynsys import (
-    BzParams,
-    HopfParams,
+    SYSTEMS,
     IntegrationDiverged,
-    LorenzParams,
     NoiseSpec,
     SystemParams,
     TimeSeries,
@@ -43,12 +40,7 @@ from .embedding import (
     select_delay,
     select_dimension,
 )
-from .functional import (
-    PersistenceConfig,
-    delta_series,
-    estimate_critical,
-    sweep_point,
-)
+from .functional import PersistenceConfig, delta_series, estimate_critical, sweep_levels
 from .lyapunov import LyapunovConfig, correlate_sweep, largest_lyapunov
 from .persistence import (
     DEFAULT_N_MAX,
@@ -60,12 +52,8 @@ from . import functional
 
 logger = logging.getLogger(__name__)
 
-_SYSTEMS = {"hopf": HopfParams, "lorenz": LorenzParams, "bz": BzParams}
-_PARAM_FLAGS = ("mu", "omega", "sigma", "rho", "beta", "a", "b")
-
-# grid points of one noise level all derive from one base; levels are spaced
-# far enough apart that their streams never collide on sensible grid sizes
-_NOISE_SEED_STRIDE = 10_000
+# one --flag per parameter name of any system, in declaration order
+_PARAM_FLAGS = tuple(dict.fromkeys(f.name for cls in SYSTEMS.values() for f in fields(cls)))
 
 SWEEP_HEADER = ("mu", "H", "betti_l1", "delta_H")
 DIAGRAM_HEADER = ("dim", "birth", "death")
@@ -109,17 +97,12 @@ class ExperimentConfig:
     critical_reference: Optional[float] = None
 
     def __post_init__(self):
-        if self.system not in _SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}; expected one of {sorted(_SYSTEMS)}")
-        cls = _SYSTEMS[self.system]
-        names = set(cls.__dataclass_fields__)
-        if self.sweep_name not in names:
-            raise ValueError(f"{self.system} has no parameter {self.sweep_name!r}")
+        if self.system not in SYSTEMS:
+            raise ValueError(f"unknown system {self.system!r}; expected one of {sorted(SYSTEMS)}")
         for name, _ in self.fixed:
-            if name not in names:
-                raise ValueError(f"{self.system} has no parameter {name!r}")
             if name == self.sweep_name:
                 raise ValueError(f"fixed parameter {name!r} collides with the sweep parameter")
+        _check_params(self.system, [self.sweep_name] + [name for name, _ in self.fixed])
         if self.sweep_count < 2:
             raise ValueError(f"sweep count must be >= 2, got {self.sweep_count}")
         if not self.sweep_min < self.sweep_max:
@@ -155,7 +138,7 @@ class ExperimentConfig:
     def params_at(self, value: float) -> SystemParams:
         kwargs = {name: v for name, v in self.fixed}
         kwargs[self.sweep_name] = float(value)
-        return _make_params(self.system, kwargs)
+        return SYSTEMS[self.system](**kwargs)
 
     def to_dict(self) -> dict:
         return {
@@ -238,22 +221,28 @@ def load_config(path: str) -> ExperimentConfig:
 # sweep execution
 
 
-def _case_point(args: tuple) -> tuple:
-    """Worker for one (noise level, grid point); must stay picklable."""
-    (j, mu, config, sigma_rel, point_seed, pcfg) = args
-    t0 = time.perf_counter()
-    sim_s = 0.0
-    try:
-        params = config.params_at(mu)
-        traj = TrajectoryConfig(
-            dt=config.dt, n_steps=config.n_steps, transient_steps=config.transient_steps
-        )
-        series = add_noise(integrate(params, traj), NoiseSpec(sigma_rel=sigma_rel, seed=point_seed))
-        sim_s = time.perf_counter() - t0
-        h, l1, diagram = sweep_point(mu, lambda _: series, config.embedding(), pcfg, j)
-    except (ValueError, RuntimeError) as exc:
-        return (j, False, f"{type(exc).__name__}: {exc}", sim_s, time.perf_counter() - t0 - sim_s)
-    return (j, True, (h, l1, diagram.rows()), sim_s, time.perf_counter() - t0 - sim_s)
+def _check_params(system: str, names: Sequence[str]) -> None:
+    """Reject names the system's record lacks, and required ones left out."""
+    declared = fields(SYSTEMS[system])
+    known = {f.name for f in declared}
+    for name in names:
+        if name not in known:
+            raise ValueError(f"{system} has no parameter {name!r}")
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in names]
+    if missing:
+        raise ValueError(f"{system} parameters: missing required {', '.join(missing)}")
+
+
+@dataclass(frozen=True)
+class _CleanSeries:
+    """Picklable series factory of a config: the clean observed series at a value."""
+
+    config: ExperimentConfig
+
+    def __call__(self, value: float) -> TimeSeries:
+        c = self.config
+        traj = TrajectoryConfig(dt=c.dt, n_steps=c.n_steps, transient_steps=c.transient_steps)
+        return integrate(c.params_at(value), traj)
 
 
 def _write_sweep_csv(path: str, mus: Sequence[float], hs: Sequence[float], l1s: Sequence[float]):
@@ -274,56 +263,6 @@ def _write_diagram_csv(path: str, rows: Sequence[Tuple[int, float, float]]):
         fh.write("\n".join(lines) + "\n")
 
 
-def _make_params(system: str, kwargs: dict) -> SystemParams:
-    try:
-        return _SYSTEMS[system](**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"{system} parameters: {exc}") from None
-
-
-def _run_noise_level(
-    config: ExperimentConfig, noise_index: int, sigma_rel: float, pool
-) -> Tuple[dict, dict, float, float]:
-    """One full grid at one noise level: (summary entry, artifacts, sim_s, pipe_s)."""
-    grid = config.grid()
-    base = config.seed + _NOISE_SEED_STRIDE * noise_index
-    pcfg = PersistenceConfig(n_max=config.n_max, seed=base, eps_grid_size=config.eps_grid_size)
-    tasks = [(j, float(mu), config, sigma_rel, base + j, pcfg) for j, mu in enumerate(grid)]
-    if pool is None:
-        results = [_case_point(t) for t in tasks]
-    else:
-        results = sorted(pool.map(_case_point, tasks), key=lambda r: r[0])
-
-    sim_s = sum(r[3] for r in results)
-    pipe_s = sum(r[4] for r in results)
-    points = []
-    kept_mu: List[float] = []
-    kept_h: List[float] = []
-    kept_l1: List[float] = []
-    diagrams: Dict[int, list] = {}
-    for (j, ok, payload, _, _), mu in zip(results, grid):
-        if ok:
-            h, l1, rows = payload
-            kept_mu.append(float(mu))
-            kept_h.append(h)
-            kept_l1.append(l1)
-            diagrams[j] = rows
-            points.append({"mu": float(mu), "status": "ok", "H": h, "betti_l1": l1})
-        else:
-            points.append({"mu": float(mu), "status": f"failed: {payload}"})
-
-    entry: dict = {"sigma_rel": float(sigma_rel), "points": points}
-    artifacts: dict = {"diagrams": diagrams}
-    if len(kept_mu) < 2:
-        entry["status"] = f"failed: only {len(kept_mu)} of {grid.shape[0]} parameter values succeeded"
-        entry["mu_hat"] = None
-    else:
-        entry["status"] = "ok"
-        entry["mu_hat"] = estimate_critical(kept_mu, kept_h)
-        artifacts["sweep"] = (kept_mu, kept_h, kept_l1)
-    return entry, artifacts, sim_s, pipe_s
-
-
 def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
     """Execute the configured sweep at every noise level and write artifacts.
 
@@ -335,39 +274,37 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
     if not os.access(config.out_dir, os.W_OK):
         raise ValueError(f"output directory {config.out_dir!r} is not writable")
 
+    grid = config.grid()
+    pcfg = PersistenceConfig(n_max=config.n_max, seed=config.seed,
+                             eps_grid_size=config.eps_grid_size)
+    timings: dict = {}
+    results = sweep_levels(grid, _CleanSeries(config), config.noise_levels,
+                           config.embedding(), pcfg, jobs=jobs, timings=timings)
+    t_render = time.perf_counter()
     multi = len(config.noise_levels) > 1
-    pool = None
-    if jobs > 1:
-        pool = multiprocessing.get_context("fork").Pool(processes=jobs)
     entries = []
-    render_s = 0.0
-    sim_total = 0.0
-    pipe_total = 0.0
-    try:
-        for v, sigma in enumerate(config.noise_levels):
-            entry, artifacts, sim_s, pipe_s = _run_noise_level(config, v, sigma, pool)
-            sim_total += sim_s
-            pipe_total += pipe_s
-            subdir = f"noise_{v:02d}" if multi else "."
-            out = os.path.join(config.out_dir, subdir) if multi else config.out_dir
-            os.makedirs(out, exist_ok=True)
-            entry["dir"] = subdir
-            t_render = time.perf_counter()
-            for j, rows in artifacts["diagrams"].items():
-                _write_diagram_csv(os.path.join(out, f"diagram_{j:02d}.csv"), rows)
-            if "sweep" in artifacts:
-                csv_path = os.path.join(out, "sweep.csv")
-                _write_sweep_csv(csv_path, *artifacts["sweep"])
-                render_svg(csv_path, os.path.join(out, "sweep.svg"), config.critical_reference)
-            render_s += time.perf_counter() - t_render
-            entries.append(entry)
-            logger.info(
-                "noise level %g: %s (mu_hat=%s)", sigma, entry["status"], entry["mu_hat"]
-            )
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for v, (sigma, res) in enumerate(zip(config.noise_levels, results)):
+        subdir = f"noise_{v:02d}" if multi else "."
+        out = os.path.join(config.out_dir, subdir) if multi else config.out_dir
+        os.makedirs(out, exist_ok=True)
+        kept = dict(zip(res.params.tolist(), zip(res.h_values, res.betti_l1, res.diagrams)))
+        reasons = dict(res.failures)
+        points = []
+        for j, mu in enumerate(grid.tolist()):
+            if mu not in kept:
+                points.append({"mu": mu, "status": f"failed: {reasons[mu]}"})
+                continue
+            h, l1, diagram = kept[mu]
+            _write_diagram_csv(os.path.join(out, f"diagram_{j:02d}.csv"), diagram.rows())
+            points.append({"mu": mu, "status": "ok", "H": float(h), "betti_l1": float(l1)})
+        if res.mu_hat is not None:
+            csv_path = os.path.join(out, "sweep.csv")
+            _write_sweep_csv(csv_path, res.params, res.h_values, res.betti_l1)
+            render_svg(csv_path, os.path.join(out, "sweep.svg"), config.critical_reference)
+        entries.append({"sigma_rel": float(sigma), "points": points, "status": res.status,
+                        "mu_hat": res.mu_hat, "dir": subdir})
+        logger.info("noise level %g: %s (mu_hat=%s)", sigma, res.status, res.mu_hat)
+    timings["render_s"] = time.perf_counter() - t_render
 
     summary = {
         "config": config.to_dict(),
@@ -377,12 +314,7 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
     with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    timings = {
-        "simulate_s": sim_total,
-        "embed_persist_s": pipe_total,
-        "render_s": render_s,
-        "total_s": time.perf_counter() - t_start,
-    }
+    timings["total_s"] = time.perf_counter() - t_start
     with open(os.path.join(config.out_dir, "timings.json"), "w") as fh:
         json.dump(timings, fh, indent=2)
         fh.write("\n")
@@ -542,25 +474,16 @@ def render_svg(csv_path: str, svg_path: str, critical_reference: Optional[float]
 # subcommands
 
 
-def _flag_param_kwargs(args) -> dict:
-    names = set(_SYSTEMS[args.system].__dataclass_fields__)
-    kwargs = {}
-    for flag in _PARAM_FLAGS:
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag not in names:
-            raise ValueError(f"{args.system} has no parameter {flag!r}")
-        kwargs[flag] = value
+def _flag_param_kwargs(args, swept: Sequence[str] = ()) -> dict:
+    """Parameter flags given on the command line, checked against the system."""
+    kwargs = {flag: getattr(args, flag) for flag in _PARAM_FLAGS
+              if getattr(args, flag, None) is not None}
+    _check_params(args.system, list(kwargs) + list(swept))
     return kwargs
 
 
-def _build_flag_params(args) -> SystemParams:
-    return _make_params(args.system, _flag_param_kwargs(args))
-
-
 def _cmd_simulate(args) -> int:
-    params = _build_flag_params(args)
+    params = SYSTEMS[args.system](**_flag_param_kwargs(args))
     traj = TrajectoryConfig(dt=args.dt, n_steps=args.steps, transient_steps=args.transient)
     series = integrate(params, traj)
     series = add_noise(series, NoiseSpec(sigma_rel=args.noise, seed=args.seed or 0))
@@ -622,13 +545,11 @@ def _cmd_lyapunov(args) -> int:
             raise ValueError(f"count must be >= 2, got {args.count}")
         grid = np.round(np.linspace(args.min, args.max, args.count), 12)
         sweep_name = args.sweep_param
-        if sweep_name not in _SYSTEMS[args.system].__dataclass_fields__:
-            raise ValueError(f"{args.system} has no parameter {sweep_name!r}")
-        system = args.system
-        kwargs = _flag_param_kwargs(args)
+        cls = SYSTEMS[args.system]
+        kwargs = _flag_param_kwargs(args, swept=[sweep_name])
 
         def params_at(value):
-            return _make_params(system, {**kwargs, sweep_name: float(value)})
+            return cls(**{**kwargs, sweep_name: float(value)})
 
         seed = args.seed or 0
     lcfg = LyapunovConfig(
@@ -717,7 +638,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", parents=[common], help="integrate a system to a t,x CSV")
-    sim.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
+    sim.add_argument("--system", required=True, choices=sorted(SYSTEMS))
     for flag in _PARAM_FLAGS:
         sim.add_argument(f"--{flag}", type=float, default=None)
     sim.add_argument("--dt", type=float, default=0.01)
@@ -745,7 +666,7 @@ def _parser() -> argparse.ArgumentParser:
     swe.set_defaults(func=_cmd_sweep)
 
     lya = sub.add_parser("lyapunov", parents=[common], help="largest exponents over a grid")
-    lya.add_argument("--system", choices=sorted(_SYSTEMS), default=None)
+    lya.add_argument("--system", choices=sorted(SYSTEMS), default=None)
     for flag in _PARAM_FLAGS:
         lya.add_argument(f"--{flag}", type=float, default=None)
     lya.add_argument("--sweep-param", default="mu", help="parameter swept over the grid")

@@ -5,18 +5,24 @@ parameter sweeps: the supercritical Hopf normal form, the Lorenz system, and
 a reduced two-variable Belousov-Zhabotinsky (chlorite-iodide) model. A scalar
 observable is recorded after a transient is discarded; observational Gaussian
 noise can be added to the recorded series.
+
+Each system is one frozen parameter record that also carries the system's
+name, its right-hand side (rhs, a closure over the parameters on float
+tuples), its default initial state, the name of the parameter swept across
+the transition and that parameter's critical value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 _BIG = 1e15  # state magnitude treated as divergence
+
+State = Tuple[float, ...]
 
 
 class IntegrationDiverged(RuntimeError):
@@ -30,27 +36,6 @@ class IntegrationDiverged(RuntimeError):
         self.step = step
 
 
-class SystemId(Enum):
-    """Closed enumeration of the supported systems."""
-
-    HOPF_NORMAL_FORM = "hopf"
-    LORENZ = "lorenz"
-    BZ_REDUCED = "bz"
-
-
-_STATE_DIM = {
-    SystemId.HOPF_NORMAL_FORM: 2,
-    SystemId.LORENZ: 3,
-    SystemId.BZ_REDUCED: 2,
-}
-
-DEFAULT_INITIAL_STATE = {
-    SystemId.HOPF_NORMAL_FORM: (0.5, 0.0),
-    SystemId.LORENZ: (1.0, 1.0, 1.0),
-    SystemId.BZ_REDUCED: (1.0, 1.0),
-}
-
-
 @dataclass(frozen=True)
 class HopfParams:
     """Supercritical Hopf normal form.
@@ -62,6 +47,11 @@ class HopfParams:
     sqrt(mu) attracts. Critical value mu_c = 0.
     """
 
+    name: ClassVar[str] = "hopf"
+    swept: ClassVar[str] = "mu"
+    initial_state: ClassVar[State] = (0.5, 0.0)
+    critical: ClassVar[float] = 0.0
+
     mu: float
     omega: float = 1.0
 
@@ -69,9 +59,15 @@ class HopfParams:
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
-    @property
-    def system(self) -> SystemId:
-        return SystemId.HOPF_NORMAL_FORM
+    def rhs(self) -> Callable[[State], State]:
+        mu, omega = self.mu, self.omega
+
+        def f(state):
+            x, y = state
+            r2 = x * x + y * y
+            return (mu * x - omega * y - x * r2, omega * x + mu * y - y * r2)
+
+        return f
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,10 @@ class LorenzParams:
     rho_c = sigma*(sigma + beta + 3)/(sigma - beta - 1) = 470/19 ~ 24.74.
     """
 
+    name: ClassVar[str] = "lorenz"
+    swept: ClassVar[str] = "rho"
+    initial_state: ClassVar[State] = (1.0, 1.0, 1.0)
+
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
@@ -97,13 +97,20 @@ class LorenzParams:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
 
     @property
-    def system(self) -> SystemId:
-        return SystemId.LORENZ
-
-    @property
     def rho_critical(self) -> float:
         """Linear-stability threshold of the C+- fixed points."""
         return self.sigma * (self.sigma + self.beta + 3.0) / (self.sigma - self.beta - 1.0)
+
+    critical = rho_critical
+
+    def rhs(self) -> Callable[[State], State]:
+        sigma, rho, beta = self.sigma, self.rho, self.beta
+
+        def f(state):
+            x, y, z = state
+            return (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
+
+        return f
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,10 @@ class BzParams:
     b_c = 3a/5 - 25/a (oscillatory below, stable above).
     """
 
+    name: ClassVar[str] = "bz"
+    swept: ClassVar[str] = "b"
+    initial_state: ClassVar[State] = (1.0, 1.0)
+
     a: float = 10.0
     b: float = 3.0
 
@@ -125,43 +136,14 @@ class BzParams:
             raise ValueError("a and b must be > 0")
 
     @property
-    def system(self) -> SystemId:
-        return SystemId.BZ_REDUCED
-
-    @property
     def b_critical(self) -> float:
         """Trace-zero (Hopf) condition of the linearization at the equilibrium."""
         return 3.0 * self.a / 5.0 - 25.0 / self.a
 
+    critical = b_critical
 
-SystemParams = Union[HopfParams, LorenzParams, BzParams]
-
-
-def state_dim(system: SystemId) -> int:
-    return _STATE_DIM[system]
-
-
-def _rhs(params: SystemParams) -> Callable[[tuple], tuple]:
-    """Right-hand side as a float-tuple closure (fast path for tight loops)."""
-    if isinstance(params, HopfParams):
-        mu, omega = params.mu, params.omega
-
-        def f(state):
-            x, y = state
-            r2 = x * x + y * y
-            return (mu * x - omega * y - x * r2, omega * x + mu * y - y * r2)
-
-        return f
-    if isinstance(params, LorenzParams):
-        sigma, rho, beta = params.sigma, params.rho, params.beta
-
-        def f(state):
-            x, y, z = state
-            return (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
-
-        return f
-    if isinstance(params, BzParams):
-        a, b = params.a, params.b
+    def rhs(self) -> Callable[[State], State]:
+        a, b = self.a, self.b
 
         def f(state):
             x, y = state
@@ -169,7 +151,22 @@ def _rhs(params: SystemParams) -> Callable[[tuple], tuple]:
             return (a - x - 4.0 * x * y / q, b * x * (1.0 - y / q))
 
         return f
-    raise TypeError(f"unsupported params type: {type(params).__name__}")
+
+
+SystemParams = Union[HopfParams, LorenzParams, BzParams]
+
+# every supported system by name; each record carries its own equations,
+# default initial state, swept parameter and critical value
+SYSTEMS = {cls.name: cls for cls in (HopfParams, LorenzParams, BzParams)}
+
+
+def _as_state(params: SystemParams, state: Sequence[float]) -> State:
+    """The state as a float tuple, checked against the system dimension."""
+    state = tuple(float(s) for s in state)
+    dim = len(params.initial_state)
+    if len(state) != dim:
+        raise ValueError(f"{params.name} expects state dimension {dim}, got {len(state)}")
+    return state
 
 
 def vector_field(params: SystemParams, state: Sequence[float]) -> np.ndarray:
@@ -187,16 +184,10 @@ def vector_field(params: SystemParams, state: Sequence[float]) -> np.ndarray:
     numpy.ndarray
         Time derivative of the state.
     """
-    expected = state_dim(params.system)
-    state = tuple(float(s) for s in state)
-    if len(state) != expected:
-        raise ValueError(
-            f"{params.system.value} expects state dimension {expected}, got {len(state)}"
-        )
-    return np.array(_rhs(params)(state), dtype=float)
+    return np.array(params.rhs()(_as_state(params, state)), dtype=float)
 
 
-def rk4_step_field(field: Callable[[tuple], tuple], state: tuple, dt: float) -> tuple:
+def rk4_step_field(field: Callable[[State], State], state: State, dt: float) -> State:
     """One classical RK4 step of an arbitrary autonomous field on float tuples."""
     k1 = field(state)
     half = 0.5 * dt
@@ -214,13 +205,7 @@ def rk4_step(params: SystemParams, state: Sequence[float], dt: float) -> np.ndar
     """One classical RK4 step of the given system (local error O(dt^5))."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    expected = state_dim(params.system)
-    state = tuple(float(s) for s in state)
-    if len(state) != expected:
-        raise ValueError(
-            f"{params.system.value} expects state dimension {expected}, got {len(state)}"
-        )
-    out = rk4_step_field(_rhs(params), state, dt)
+    out = rk4_step_field(params.rhs(), _as_state(params, state), dt)
     if not all(-_BIG < s < _BIG for s in out):
         raise IntegrationDiverged("state became non-finite within one step", step=0)
     return np.array(out, dtype=float)
@@ -318,21 +303,16 @@ def integrate(params: SystemParams, config: TrajectoryConfig) -> TimeSeries:
         If the state leaves the finite range; the exception names the step
         index reached.
     """
-    dim = state_dim(params.system)
     init = config.initial_state
-    if init is None:
-        init = DEFAULT_INITIAL_STATE[params.system]
-    init = tuple(float(s) for s in init)
-    if len(init) != dim:
-        raise ValueError(f"initial_state must have dimension {dim}, got {len(init)}")
+    init = _as_state(params, params.initial_state if init is None else init)
     if not all(math.isfinite(s) for s in init):
         raise ValueError("initial_state must be finite")
-    if config.observe_index >= dim:
+    if config.observe_index >= len(init):
         raise ValueError(
-            f"observe_index {config.observe_index} out of range for dimension {dim}"
+            f"observe_index {config.observe_index} out of range for dimension {len(init)}"
         )
 
-    f = _rhs(params)
+    f = params.rhs()
     dt = config.dt
     obs = config.observe_index
     n_record = config.n_steps - config.transient_steps

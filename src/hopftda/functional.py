@@ -8,12 +8,15 @@ absolute jump of H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+import logging
+import multiprocessing
+import time
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynsys import TimeSeries
+from .dynsys import IntegrationDiverged, NoiseSpec, TimeSeries, add_noise
 from .embedding import EmbeddingParams, delay_embed, select_delay, select_dimension
 from .persistence import (
     DEFAULT_N_MAX,
@@ -23,8 +26,14 @@ from .persistence import (
     rips_persistence,
 )
 
+logger = logging.getLogger(__name__)
+
 # resolution of the Betti-curve sampling grid from 0 to the filtration cap
 DEFAULT_EPS_GRID_SIZE = 64
+
+# grid points of one noise level all derive from one base; levels are spaced
+# far enough apart that their streams never collide on sensible grid sizes
+NOISE_SEED_STRIDE = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,16 +84,24 @@ class SweepResult:
 
     params holds the values that succeeded (ascending); failures pairs each
     excluded value with the reason. delta_h[i] = |h_values[i+1] - h_values[i]|
-    and mu_hat is always one of params.
+    and mu_hat is always one of params, or None when fewer than 2 values
+    succeeded (only sweep_levels returns such a result; run_sweep raises).
     """
 
     params: np.ndarray
     h_values: np.ndarray
     betti_l1: np.ndarray
     delta_h: np.ndarray
-    mu_hat: float
+    mu_hat: Optional[float]
     diagrams: Tuple[PersistenceDiagram, ...] = ()
     failures: Tuple[Tuple[float, str], ...] = ()
+
+    @property
+    def status(self) -> str:
+        if self.mu_hat is not None:
+            return "ok"
+        total = self.params.shape[0] + len(self.failures)
+        return f"failed: only {self.params.shape[0]} of {total} parameter values succeeded"
 
 
 def max_persistence(diagram: PersistenceDiagram, dim: int = 1) -> float:
@@ -173,7 +190,7 @@ def sweep_point(
     config: PersistenceConfig,
     index: int,
 ) -> Tuple[float, float, PersistenceDiagram]:
-    """One grid point of run_sweep: (H, betti L1, diagram).
+    """One grid point of a sweep: (H, betti L1, diagram).
 
     index offsets the subsampling seed so grid points draw distinct starts.
     Raises whatever the series factory or the pipeline raises.
@@ -193,6 +210,104 @@ def sweep_point(
     return h, l1, diagram
 
 
+def _attempt(task: tuple) -> Tuple[bool, object, float]:
+    """(True, fn(*args), seconds), or (False, reason, seconds) on an expected failure.
+
+    The one place a grid point is declared failed: a rejected value or a
+    diverged integration. Anything else is a bug and propagates.
+    """
+    fn, args = task
+    t0 = time.perf_counter()
+    try:
+        return True, fn(*args), time.perf_counter() - t0
+    except (ValueError, IntegrationDiverged) as exc:
+        return False, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0
+
+
+def _noisy_point(mu, clean, noise, embedding, config, index):
+    """sweep_point on the clean series with observation noise added."""
+    noisy = add_noise(clean, noise)
+    return sweep_point(mu, lambda _: noisy, embedding, config, index)
+
+
+def _level_result(kept: list, failures: list) -> SweepResult:
+    """One level's result from its (mu, (H, L1, diagram)) survivors in grid order."""
+    mus = np.array([mu for mu, _ in kept])
+    h = np.array([pt[0] for _, pt in kept])
+    enough = len(kept) >= 2
+    return SweepResult(
+        params=mus,
+        h_values=h,
+        betti_l1=np.array([pt[1] for _, pt in kept]),
+        delta_h=delta_series(h) if enough else np.empty(0),
+        mu_hat=estimate_critical(mus, h) if enough else None,
+        diagrams=tuple(pt[2] for _, pt in kept),
+        failures=tuple(failures),
+    )
+
+
+def sweep_levels(
+    params: Sequence[float],
+    series_factory: Callable[[float], TimeSeries],
+    noise_levels: Sequence[float],
+    embedding: Optional[EmbeddingParams],
+    config: PersistenceConfig,
+    jobs: int = 1,
+    timings: Optional[Dict[str, float]] = None,
+) -> List[SweepResult]:
+    """The sweep engine: one SweepResult per noise level, in order.
+
+    series_factory gives the clean series of a grid point; it is called once
+    per point. Point j of level v gets noise and landmarks seeded
+    config.seed + NOISE_SEED_STRIDE * v + j, so any point can be reproduced
+    alone. A point that fails in an expected way is excluded from its level;
+    a level with fewer than 2 survivors has mu_hat None. With jobs > 1 a fork
+    pool runs the series, then every (level, point) pipeline, and the factory
+    must pickle. timings, when given, receives the summed seconds of series
+    ("simulate_s") and pipelines ("embed_persist_s"). Each (level, point)
+    outcome is logged at info level as it arrives.
+    """
+    p = np.asarray(params, dtype=float)
+    if p.ndim != 1 or p.shape[0] < 2:
+        raise ValueError("need at least 2 parameter values")
+    if np.any(np.diff(p) <= 0):
+        raise ValueError("params must be strictly ascending")
+    grid = p.tolist()
+    pool = multiprocessing.get_context("fork").Pool(processes=jobs) if jobs > 1 else None
+    run = map if pool is None else pool.imap
+    try:
+        clean = list(run(_attempt, [(series_factory, (mu,)) for mu in grid]))
+        tasks = []
+        for v, sigma in enumerate(noise_levels):
+            base = config.seed + NOISE_SEED_STRIDE * v
+            pcfg = replace(config, seed=base)
+            for j, (mu, (ok, series, _)) in enumerate(zip(grid, clean)):
+                if ok:
+                    tasks.append((_noisy_point, (mu, series, NoiseSpec(sigma, base + j),
+                                                 embedding, pcfg, j)))
+        outcomes = run(_attempt, tasks)
+        results = []
+        pipe_s = 0.0
+        for sigma in noise_levels:
+            kept, failures = [], []
+            for mu, (ok, payload, _) in zip(grid, clean):
+                if ok:
+                    ok, payload, seconds = next(outcomes)
+                    pipe_s += seconds
+                status = f"ok, H={payload[0]!r}" if ok else f"failed: {payload}"
+                logger.info("sigma_rel=%g mu=%r: %s", sigma, mu, status)
+                (kept if ok else failures).append((mu, payload))
+            results.append(_level_result(kept, failures))
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
+    if timings is not None:
+        timings["simulate_s"] = sum(c[2] for c in clean)
+        timings["embed_persist_s"] = pipe_s
+    return results
+
+
 def run_sweep(
     params: Sequence[float],
     series_factory: Callable[[float], TimeSeries],
@@ -202,43 +317,12 @@ def run_sweep(
     """Embed, subsample, and compute persistence at each parameter value.
 
     embedding=None selects (tau, m) per series automatically. A value whose
-    series construction or pipeline raises is excluded and recorded in
-    failures; the sweep itself fails when fewer than 2 values survive.
+    series construction or pipeline raises ValueError or IntegrationDiverged
+    is excluded and recorded in failures; the sweep itself fails when fewer
+    than 2 values survive. This is sweep_levels at one noise-free level, in
+    process.
     """
-    p = np.asarray(params, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValueError("need at least 2 parameter values")
-    if np.any(np.diff(p) <= 0):
-        raise ValueError("params must be strictly ascending")
-
-    kept: List[float] = []
-    h_values: List[float] = []
-    l1_values: List[float] = []
-    diagrams: List[PersistenceDiagram] = []
-    failures: List[Tuple[float, str]] = []
-    for j, mu in enumerate(p):
-        try:
-            h, l1, diagram = sweep_point(mu, series_factory, embedding, config, j)
-        except (ValueError, RuntimeError) as exc:
-            failures.append((float(mu), f"{type(exc).__name__}: {exc}"))
-            continue
-        kept.append(float(mu))
-        h_values.append(h)
-        l1_values.append(l1)
-        diagrams.append(diagram)
-
-    if len(kept) < 2:
-        raise RuntimeError(
-            f"sweep failed: only {len(kept)} of {p.shape[0]} parameter values succeeded"
-        )
-    kept_arr = np.array(kept)
-    h_arr = np.array(h_values)
-    return SweepResult(
-        params=kept_arr,
-        h_values=h_arr,
-        betti_l1=np.array(l1_values),
-        delta_h=delta_series(h_arr),
-        mu_hat=estimate_critical(kept_arr, h_arr),
-        diagrams=tuple(diagrams),
-        failures=tuple(failures),
-    )
+    result = sweep_levels(params, series_factory, (0.0,), embedding, config)[0]
+    if result.mu_hat is None:
+        raise RuntimeError(f"sweep {result.status}")
+    return result

@@ -16,17 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.special import stdtr
 
-from .dynsys import (
-    _BIG,
-    DEFAULT_INITIAL_STATE,
-    BzParams,
-    HopfParams,
-    IntegrationDiverged,
-    LorenzParams,
-    SystemParams,
-    _rhs,
-    rk4_step_field,
-)
+from .dynsys import _BIG, IntegrationDiverged, SystemParams, rk4_step_field
 from .functional import SweepResult
 
 logger = logging.getLogger(__name__)
@@ -72,17 +62,6 @@ class CorrelationReport:
     p_method: str = "student-t"
 
 
-def _swept_and_critical(params: SystemParams) -> Tuple[float, float]:
-    """The bifurcation parameter of the system and its critical value."""
-    if isinstance(params, HopfParams):
-        return params.mu, 0.0
-    if isinstance(params, LorenzParams):
-        return params.rho, params.rho_critical
-    if isinstance(params, BzParams):
-        return params.b, params.b_critical
-    raise TypeError(f"unsupported params type: {type(params).__name__}")
-
-
 def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(dim)
@@ -101,15 +80,15 @@ def largest_lyapunov(params: SystemParams, config: LyapunovConfig = LyapunovConf
     direction and that block contributes nothing to the sum; the event is
     logged as a warning.
     """
-    value, critical = _swept_and_critical(params)
+    value, critical = getattr(params, params.swept), params.critical
     n_steps, transient = config.n_steps, config.transient_steps
     if abs(value - critical) <= NEAR_CRITICAL_MARGIN * max(abs(critical), 1.0):
         n_steps *= 2
         transient *= 2
 
-    field = _rhs(params)
+    field = params.rhs()
     dt = config.dt
-    x = tuple(float(s) for s in DEFAULT_INITIAL_STATE[params.system])
+    x = params.initial_state
     for step in range(transient):
         x = rk4_step_field(field, x, dt)
         if step % 1000 == 999 and not all(-_BIG < s < _BIG for s in x):

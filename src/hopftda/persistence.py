@@ -131,8 +131,11 @@ def maxmin_subsample(cloud: PointCloud, n_max: int = DEFAULT_N_MAX, seed: int = 
     """Greedy farthest-point landmarks: at most n_max points of the cloud.
 
     Starts from a seeded random point, then repeatedly adds the point
-    farthest from the chosen set (ties to the smallest index). Returns the
-    input unchanged when it is already small enough.
+    farthest from the chosen set (ties to the smallest index), stopping early
+    once every remaining point coincides with a landmark, so the landmarks
+    are distinct. A repeated point adds only zero-length pairs, which
+    diagrams omit, so stopping there leaves the diagram unchanged. Returns
+    the input unchanged when it is already small enough.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -147,6 +150,8 @@ def maxmin_subsample(cloud: PointCloud, n_max: int = DEFAULT_N_MAX, seed: int = 
     mind = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     for _ in range(n_max - 1):
         nxt = int(np.argmax(mind))
+        if mind[nxt] == 0.0:
+            break
         chosen.append(nxt)
         diff = points - points[nxt]
         np.minimum(mind, np.sqrt(np.einsum("ij,ij->i", diff, diff)), out=mind)
@@ -284,7 +289,7 @@ def _matching_feasible(cost: float, a: np.ndarray, b: np.ndarray) -> bool:
     adj: List[List[int]] = []
     for p in range(na):
         linf = np.max(np.abs(a[p] - b), axis=1) if nb else np.empty(0)
-        targets = list(np.nonzero(linf <= cost)[0])
+        targets = np.nonzero(linf <= cost)[0].tolist()
         if diag_a[p] <= cost:
             targets.append(nb + p)
         adj.append(targets)
@@ -295,23 +300,42 @@ def _matching_feasible(cost: float, a: np.ndarray, b: np.ndarray) -> bool:
             targets.append(q)
         adj.append(targets)
 
-    match_right = np.full(total, -1, dtype=np.int64)
+    match_right = [-1] * total
+    for root in range(total):
+        if not _augment(root, adj, match_right):
+            # a left vertex that finds no augmenting path never will later
+            return False
+    return True
 
-    def augment(left: int, seen: np.ndarray) -> bool:
-        for right in adj[left]:
-            if seen[right]:
-                continue
-            seen[right] = True
-            if match_right[right] < 0 or augment(match_right[right], seen):
-                match_right[right] = left
-                return True
-        return False
 
-    matched = 0
-    for left in range(total):
-        if augment(left, np.zeros(total, dtype=bool)):
-            matched += 1
-    return matched == total
+def _augment(root: int, adj: List[List[int]], match_right: List[int]) -> bool:
+    """Kuhn's depth-first augmenting-path search from one left vertex.
+
+    Rights are tried in adjacency order and a matched right hands the search
+    on to its owner, as in the recursive form, but on an explicit stack so
+    that chains of re-matches may exceed the interpreter's recursion limit.
+    """
+    seen = [False] * len(match_right)
+    stack = [(root, iter(adj[root]))]
+    path: List[int] = []  # path[k] is the right vertex stack[k] is trying
+    while stack:
+        for right in stack[-1][1]:
+            if not seen[right]:
+                seen[right] = True
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(right)
+        owner = match_right[right]
+        if owner < 0:
+            for (left, _), r in zip(stack, path):
+                match_right[r] = left
+            return True
+        stack.append((owner, iter(adj[owner])))
+    return False
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, dim: int = 1) -> float:

@@ -1,0 +1,106 @@
+"""Pinned sha256 digests of the byte-stable artifacts of a sweep run.
+
+Every sweep.csv, sweep.svg and summary.json a run writes is hashed, and the
+diagram_*.csv files of each directory are hashed together, in name order.
+summary.json echoes the run's out_dir, so that path is replaced by a fixed
+string before hashing.
+
+The digests in GOLDEN were generated by the code before the sweep engine was
+unified, and pin its behaviour: a refactor or speed-up must leave them as
+they are. To change them on purpose, run the failing test, copy the digests
+its assertion message prints into GOLDEN, and say in CHANGES.md why the
+artifacts changed.
+"""
+
+import hashlib
+import json
+import os
+
+GOLDEN = {
+    "case_a": {
+        "diagram_*.csv":
+            "776c6b32c51cde9b5d2bf30038232f83adc9abdf91b3e508ab0038ac7b79c021",
+        "summary.json":
+            "a1ab2a996b1d91f309884d1626a6c62e9df8544b6b58ba297f2f1f3cd645f5f6",
+        "sweep.csv":
+            "ca8c4695928b338d33edeb3bf051289b3a53500cef145d467fc35698a2e8610c",
+        "sweep.svg":
+            "2f306cc3315d5bf8b053c7b320f0af22b8b5585ef8fac367cbad1c48b36196ba",
+    },
+    "case_b": {
+        "noise_00/diagram_*.csv":
+            "60067f90b743c4466599f271fad658e6701efc21c954463e39360b26b3d38f38",
+        "noise_00/sweep.csv":
+            "5a02962fb21a1503908b91f85b68a61c658ccd64b9dfa723c54ce999d715d14f",
+        "noise_00/sweep.svg":
+            "5d370ebd0bb504fa551281085b08e2df2adda208e572c1b6c4671625a29388ae",
+        "noise_01/diagram_*.csv":
+            "65ffccc6dc7156235032f22f36f41c81f36f988025cc33b61862febbd68b3604",
+        "noise_01/sweep.csv":
+            "fb29fb7e4c60139da5c7900d67808c56cf787431d48be2caf2825b4d52fe31eb",
+        "noise_01/sweep.svg":
+            "b3fb28d8849f68f65e8374f2157786b87fd0e04fc18a9d38aa463ec927463300",
+        "noise_02/diagram_*.csv":
+            "c72b4bdf5f160abd0ad8a580b782ea713d176ad4d33b5b883e12ea5d94b6fa60",
+        "noise_02/sweep.csv":
+            "e1f3cf7ad06d2c0133833309a2ba14f6237e46295530664616833c3380999d70",
+        "noise_02/sweep.svg":
+            "7b9e589ad02dd998c781fd429100c578437af3def775d8e0c9e4f5fcc3fae6f4",
+        "summary.json":
+            "fd049c0e8e1ce5db2daf6045a3bc7e769fec4d391dc15723e0718a7a1f04c1c3",
+    },
+    "case_c": {
+        "diagram_*.csv":
+            "e09486b2d33b7754b412c74c06b9c7b48d706696a07653d079d60f1483b6e0c8",
+        "summary.json":
+            "d2d994475e792976ce84e030db3380dfbfbb23e518e466b9e7f3314890514637",
+        "sweep.csv":
+            "d664d8c18d031c0e7c2a8c4d3312ef211c7984f34381ce1f98316a6db6f0fbd3",
+        "sweep.svg":
+            "84a5e98e21f1492248033850e8937650351d0cc0112aa575d2f80b988ed4f2d0",
+    },
+    "tiny_two_level": {
+        "noise_00/diagram_*.csv":
+            "fa94103421c92edf4b481051996e90ab3b0c2cd438660ace2d7acf7169eb7861",
+        "noise_00/sweep.csv":
+            "de4e7fa226dfae81a2588496233b04718056d7841c8f8ba32281896f2418cc92",
+        "noise_00/sweep.svg":
+            "20249574f17f393a8c080abae08953fe005b6c5b8f354d130b49c30ca61bcb59",
+        "noise_01/diagram_*.csv":
+            "aeb9847b3b33967f4beca51b8c862ebf6f372aca9f5f70f5ac027247b67063e2",
+        "noise_01/sweep.csv":
+            "b84c4824b3ef7e330a2c9721b5a6a68442f7a8abbe9c23d53f02085c046315ff",
+        "noise_01/sweep.svg":
+            "c146c65acfbe189c2047aa954292dc1b4a979286b7786362d5bf19e72e99fcfe",
+        "summary.json":
+            "b2cdcecff21e6a79c0bf56d4ac9f38760007033b818d36c56540c12f062cf0cc",
+    },
+}
+
+
+def artifact_digests(out_dir) -> dict:
+    """Relative path (or 'dir/diagram_*.csv') -> sha256 hex digest."""
+    out_dir = str(out_dir)
+    digests = {}
+    diagrams = {}
+    for dirpath, _, names in os.walk(out_dir):
+        rel_dir = os.path.relpath(dirpath, out_dir)
+        for name in sorted(names):
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                blob = fh.read()
+            rel = os.path.normpath(os.path.join(rel_dir, name))
+            if name.startswith("diagram_") and name.endswith(".csv"):
+                h = diagrams.setdefault(os.path.join(rel_dir, "diagram_*.csv"), hashlib.sha256())
+                h.update(name.encode() + b"\n" + blob)
+            elif name in ("sweep.csv", "sweep.svg", "summary.json"):
+                if name == "summary.json":
+                    blob = blob.replace(json.dumps(out_dir).encode(), b'"<out_dir>"')
+                digests[rel] = hashlib.sha256(blob).hexdigest()
+    for key, h in diagrams.items():
+        digests[os.path.normpath(key)] = h.hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def assert_golden(name: str, out_dir) -> None:
+    got = artifact_digests(out_dir)
+    assert got == GOLDEN[name], f"{name} digests changed; got {json.dumps(got, indent=4)}"

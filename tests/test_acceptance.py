@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _golden import assert_golden
 from _oracles import naive_rips_rows, random_cloud
 from hopftda.cli import ExperimentConfig, bundled_config, run_case
 from hopftda.dynsys import (
@@ -119,6 +120,12 @@ def bz_correlations(case_c):
     mus, hs = level_arrays(summary)
     lams = lyapunov_over(cfg, mus)
     return pearson(hs, lams), spearman(hs, lams)
+
+
+@pytest.mark.parametrize("name", ["case_a", "case_b", "case_c"])
+def test_golden_digests(name, request):
+    cfg, _, _, _ = request.getfixturevalue(name)
+    assert_golden(name, cfg.out_dir)
 
 
 def test_case_a_detection(case_a):

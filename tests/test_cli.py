@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from _golden import assert_golden
 from hopftda.cli import (
     ExperimentConfig,
     bundled_config,
@@ -147,6 +148,12 @@ class TestRunCase:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert [lvl["dir"] for lvl in summary["noise"]] == ["noise_00", "noise_01"]
         assert summary["mu_hat"] == summary["noise"][0]["mu_hat"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_level_golden_digests(self, tmp_path, jobs):
+        cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02))
+        assert run_case(cfg, jobs=jobs) == 0
+        assert_golden("tiny_two_level", tmp_path)
 
     def test_all_points_failing_is_reported(self, tmp_path):
         # dt far beyond the stability limit makes every grid point diverge

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from hopftda.dynsys import (
+    SYSTEMS,
     BzParams,
     HopfParams,
     IntegrationDiverged,
     LorenzParams,
     NoiseSpec,
-    SystemId,
     TimeSeries,
     TrajectoryConfig,
     add_noise,
     integrate,
     rk4_step,
     rk4_step_field,
-    state_dim,
     vector_field,
 )
 
@@ -51,9 +50,18 @@ def test_vector_field_rejects_dimension_mismatch():
 
 
 def test_state_dims():
-    assert state_dim(SystemId.HOPF_NORMAL_FORM) == 2
-    assert state_dim(SystemId.LORENZ) == 3
-    assert state_dim(SystemId.BZ_REDUCED) == 2
+    assert len(HopfParams.initial_state) == 2
+    assert len(LorenzParams.initial_state) == 3
+    assert len(BzParams.initial_state) == 2
+    assert SYSTEMS == {"hopf": HopfParams, "lorenz": LorenzParams, "bz": BzParams}
+
+
+def test_records_carry_swept_parameter_and_critical_value():
+    assert (HopfParams.swept, HopfParams(mu=0.3).critical) == ("mu", 0.0)
+    assert LorenzParams.swept == "rho"
+    assert LorenzParams().critical == pytest.approx(470.0 / 19.0, rel=1e-15)
+    assert BzParams.swept == "b"
+    assert BzParams(a=10.0).critical == pytest.approx(3.5, rel=1e-15)
 
 
 def test_param_validation():

@@ -1,5 +1,7 @@
 """Tests for the topological observables and the critical-parameter estimate."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,33 @@ def test_run_sweep_excludes_failures():
     assert "IntegrationDiverged" in result.failures[0][1]
     assert result.params.shape[0] == 10
     assert 0.4 not in result.params.tolist()
+
+
+def test_run_sweep_propagates_programming_errors():
+    # only expected failures exclude a point; anything else is a bug
+    def factory(mu: float) -> TimeSeries:
+        if mu > 0.5:
+            raise RuntimeError("not an expected failure")
+        return sine_family(mu)
+
+    with pytest.raises(RuntimeError, match="not an expected failure"):
+        run_sweep([0.0, 0.25, 1.0], factory, embedding=EmbeddingParams(tau=25, m=2))
+
+
+def test_run_sweep_logs_each_point(caplog):
+    def factory(mu: float) -> TimeSeries:
+        if mu == 0.5:
+            raise IntegrationDiverged("state left the finite box", step=3)
+        return sine_family(mu)
+
+    with caplog.at_level(logging.INFO, logger="hopftda.functional"):
+        run_sweep([0.0, 0.5, 1.0], factory, embedding=EmbeddingParams(tau=25, m=2),
+                  config=PersistenceConfig(n_max=40))
+    lines = [r.getMessage() for r in caplog.records if r.name == "hopftda.functional"]
+    assert len(lines) == 3
+    assert lines[0].startswith("sigma_rel=0 mu=0.0: ok, H=")
+    assert lines[1].startswith("sigma_rel=0 mu=0.5: failed: IntegrationDiverged")
+    assert lines[2].startswith("sigma_rel=0 mu=1.0: ok, H=")
 
 
 def test_run_sweep_fails_below_two_successes():

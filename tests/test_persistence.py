@@ -7,6 +7,9 @@ optimized pipeline must reproduce it exactly, including under a filtration
 cap that leaves classes open.
 """
 
+import sys
+import traceback
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,17 @@ def test_maxmin_deterministic_and_subset():
     assert np.array_equal(s1.points, s2.points)
     rows = {tuple(p) for p in cloud.points}
     assert all(tuple(p) in rows for p in s1.points)
+
+
+def test_maxmin_distinct_landmarks_from_repeated_points():
+    distinct = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
+    repeated = PointCloud(np.repeat(distinct, 50, axis=0))
+    sub = maxmin_subsample(repeated, n_max=100, seed=3)
+    assert sub.points.shape[0] == 4
+    assert {tuple(p) for p in sub.points} == {tuple(p) for p in distinct}
+    # repeated vertices add only zero-length pairs, which diagrams omit
+    full = rips_persistence(pairwise_distances(repeated)).rows()
+    assert rips_persistence(pairwise_distances(sub)).rows() == full
 
 
 def test_maxmin_rejects_bad_n_max():
@@ -297,6 +311,27 @@ def test_bottleneck_matches_brute_force():
             diagram([(1, x, y) for x, y in a]), diagram([(1, x, y) for x, y in b])
         )
         assert got == pytest.approx(brute_bottleneck(a, b), abs=1e-12), f"trial {trial}"
+
+
+def test_bottleneck_long_rematch_chain_without_recursion():
+    # a_i (i < n-1) sits between b_i and b_{i+1}, the last a only by b_0, so
+    # matching the last a re-matches every earlier one in a single chain;
+    # births differ by 1e-6 only, to fix the order the points are visited
+    n = 250
+    eps = 1e-6
+    top = 10.0 * n  # long bars: the diagonal is never competitive
+    a = [(1, i * eps, top + i + 0.5) for i in range(n - 1)] + [(1, (n - 1) * eps, top - 0.5)]
+    b = [(1, j * eps, top + j) for j in range(n)]
+    # a limit well below the chain length stands in for the default one: a
+    # chain longer than that needs over 1000 pairs, where the search takes
+    # minutes
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+    try:
+        got = bottleneck_distance(diagram(a), diagram(b))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert got == 0.5
 
 
 # ------------------------------------------------------------------- stability
