@@ -210,18 +210,17 @@ def sweep_point(
     return h, l1, diagram
 
 
-def _attempt(task: tuple) -> Tuple[bool, object, float]:
-    """(True, fn(*args), seconds), or (False, reason, seconds) on an expected failure.
+def _attempt(task: tuple) -> Tuple[bool, object]:
+    """(True, fn(*args)), or (False, reason) on an expected failure.
 
     The one place a grid point is declared failed: a rejected value or a
     diverged integration. Anything else is a bug and propagates.
     """
     fn, args = task
-    t0 = time.perf_counter()
     try:
-        return True, fn(*args), time.perf_counter() - t0
+        return True, fn(*args)
     except (ValueError, IntegrationDiverged) as exc:
-        return False, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0
+        return False, f"{type(exc).__name__}: {exc}"
 
 
 def _noisy_point(mu, clean, noise, embedding, config, index):
@@ -263,9 +262,10 @@ def sweep_levels(
     alone. A point that fails in an expected way is excluded from its level;
     a level with fewer than 2 survivors has mu_hat None. With jobs > 1 a fork
     pool runs the series, then every (level, point) pipeline, and the factory
-    must pickle. timings, when given, receives the summed seconds of series
-    ("simulate_s") and pipelines ("embed_persist_s"). Each (level, point)
-    outcome is logged at info level as it arrives.
+    must pickle. timings, when given, receives the wall seconds of the series
+    phase ("simulate_s") and of the pipeline phase ("embed_persist_s"), as
+    the calling process sees them. Each (level, point) outcome is logged at
+    info level as it arrives.
     """
     p = np.asarray(params, dtype=float)
     if p.ndim != 1 or p.shape[0] < 2:
@@ -276,35 +276,36 @@ def sweep_levels(
     pool = multiprocessing.get_context("fork").Pool(processes=jobs) if jobs > 1 else None
     run = map if pool is None else pool.imap
     try:
+        t_series = time.perf_counter()
         clean = list(run(_attempt, [(series_factory, (mu,)) for mu in grid]))
+        t_pipes = time.perf_counter()
         tasks = []
         for v, sigma in enumerate(noise_levels):
             base = config.seed + NOISE_SEED_STRIDE * v
             pcfg = replace(config, seed=base)
-            for j, (mu, (ok, series, _)) in enumerate(zip(grid, clean)):
+            for j, (mu, (ok, series)) in enumerate(zip(grid, clean)):
                 if ok:
                     tasks.append((_noisy_point, (mu, series, NoiseSpec(sigma, base + j),
                                                  embedding, pcfg, j)))
         outcomes = run(_attempt, tasks)
         results = []
-        pipe_s = 0.0
         for sigma in noise_levels:
             kept, failures = [], []
-            for mu, (ok, payload, _) in zip(grid, clean):
+            for mu, (ok, payload) in zip(grid, clean):
                 if ok:
-                    ok, payload, seconds = next(outcomes)
-                    pipe_s += seconds
+                    ok, payload = next(outcomes)
                 status = f"ok, H={payload[0]!r}" if ok else f"failed: {payload}"
                 logger.info("sigma_rel=%g mu=%r: %s", sigma, mu, status)
                 (kept if ok else failures).append((mu, payload))
             results.append(_level_result(kept, failures))
+        t_done = time.perf_counter()
     finally:
         if pool is not None:
             pool.close()
             pool.join()
     if timings is not None:
-        timings["simulate_s"] = sum(c[2] for c in clean)
-        timings["embed_persist_s"] = pipe_s
+        timings["simulate_s"] = t_pipes - t_series
+        timings["embed_persist_s"] = t_done - t_pipes
     return results
 
 

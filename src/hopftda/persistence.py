@@ -2,14 +2,24 @@
 and the bottleneck distance between diagrams.
 
 The filtration uses the closed convention: a simplex enters once all its
-pairwise distances are <= epsilon. H0 comes from a union-find pass over edges
-sorted by (value, vertex pair). H1 reduces triangle columns over Z/2; edge
-columns are never reduced at all, which is the clearing optimization in its
-strongest form: every triangle block opens with an emergent zero-persistence
-pair that claims the block edge as pivot, and later columns cascade through
-claimed pivots as plain integer XOR until they either vanish or land on an
-unpaired cycle-creating edge. Once no unpaired such edge remains below the
-current block the rest of the block must vanish and is skipped outright.
+pairwise distances are <= epsilon. Edges are ordered by (value, vertex pair)
+and triangles by (largest edge, second-largest edge), which refines their
+value. H1 comes from persistent cohomology over Z/2 with clearing and
+apparent pairs (Bauer, "Ripser: efficient computation of Vietoris-Rips
+persistence barcodes", JACT 2021), which pairs simplices as the homology
+reduction does:
+
+- an edge with an earlier common neighbour is apparent: it pairs with its
+  minimal coface at zero persistence and gets no column;
+- a union-find pass over the other edges gives H0, and the edges that merge
+  components are cleared;
+- each remaining edge closes a cycle. Its coboundary column is reduced, from
+  the largest such edge down, by adding stored columns and the coboundaries
+  of apparent edges until its pivot (smallest triangle) is free, which gives
+  the death, or the column vanishes, which leaves the class open.
+
+Triangles are never enumerated: a coboundary is read off two rows of the
+edge-position matrix when a column needs it.
 
 Diagrams are multisets of (birth, death) values per dimension. Pairs with
 death == birth carry no topological signal at any threshold and are omitted;
@@ -19,14 +29,19 @@ are ordered, so the optimized reduction and any naive one agree exactly.
 
 from __future__ import annotations
 
+import heapq
+import logging
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .embedding import PointCloud
 
-# subsampling cap keeping the triangle stage tractable (about 10^7 triangles)
+logger = logging.getLogger(__name__)
+
+# subsampling cap: the apparent-pair scan costs about n^3 operations, and on a
+# round circle of 400 points the one cycle column grows to 2 million triangles
 DEFAULT_N_MAX = 400
 
 _NO_EDGE = np.iinfo(np.int64).max
@@ -158,23 +173,6 @@ def maxmin_subsample(cloud: PointCloud, n_max: int = DEFAULT_N_MAX, seed: int = 
     return PointCloud(points=points[np.array(chosen)])
 
 
-def _clear_claimed(column: int, claimed: int, tails: List[Optional[int]]) -> int:
-    """XOR out every claimed bit of the column using the stored pivot tails.
-
-    Tails are claimed-free when stored but can go stale as later positions
-    get claimed, so the claimed projection is re-derived until it is empty;
-    it strictly decreases each pass, and the fixpoint is unique because any
-    nonzero combination of pivot columns has a claimed top bit.
-    """
-    work = column & claimed
-    while work:
-        b = work.bit_length() - 1
-        bit = 1 << b
-        column ^= bit ^ tails[b]
-        work = column & claimed
-    return column
-
-
 def rips_persistence(
     dist: DistanceMatrix, eps_max: Optional[float] = None
 ) -> PersistenceDiagram:
@@ -208,8 +206,19 @@ def rips_persistence(
     pos_matrix[ei, ej] = arange_e
     pos_matrix[ej, ei] = arange_e
 
-    parent = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
+    # second[p]: the smallest second edge of a triangle on edge p = (i, j),
+    # min over k of max(pos(i, k), pos(j, k)), one row of vertices at a time
+    second_matrix = np.full((n, n), _NO_EDGE, dtype=np.int64)
+    for i in range(n - 1):
+        second_matrix[i, i + 1:] = np.maximum(pos_matrix[i], pos_matrix[i + 1:]).min(axis=1)
+    second = second_matrix[ei, ej]
+    # an edge with an earlier common neighbour is apparent: it joins vertices
+    # already connected and pairs at zero persistence with its minimal coface
+    apparent = second < arange_e
+    second = second.tolist()
+    values = evals.tolist()
+
+    parent = list(range(n))
 
     def find(a: int) -> int:
         root = a
@@ -219,123 +228,89 @@ def rips_persistence(
             parent[a], a = root, parent[a]
         return root
 
-    rows: List[Tuple[int, float, float]] = []
-    # tails[p] holds the cycle bits strictly below claimed position p, stored
-    # claimed-free so that most clearing steps are a single XOR (see
-    # _clear_claimed for the staleness caveat)
-    tails: List[Optional[int]] = [None] * n_edges
-    claimed = 0  # bitmask of claimed positions
-    unpaired = {}  # cycle-creating edge position -> its birth value
-    for pos in range(n_edges):
-        i, j, value = int(ei[pos]), int(ej[pos]), float(evals[pos])
-        mask = (pos_matrix[i] < pos) & (pos_matrix[j] < pos)
-        ks = np.nonzero(mask)[0]
-        if ks.shape[0] == 0:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                # component merge: an H0 class dies at this scale
-                if size[ri] < size[rj]:
-                    ri, rj = rj, ri
-                parent[rj] = ri
-                size[ri] += size[rj]
-                if value > 0.0:
-                    rows.append((0, 0.0, value))
-                continue
-            unpaired[pos] = value
-            continue
-        # a shared earlier neighbor means i and j were already connected, so
-        # this edge creates a cycle; the block's first triangle pairs it off
-        # immediately at zero persistence and claims it as pivot
-        pa = pos_matrix[i, ks].tolist()  # python ints: bitsets must not be int64
-        pb = pos_matrix[j, ks].tolist()
-        head = _clear_claimed((1 << pa[0]) | (1 << pb[0]), claimed, tails)
-        tails[pos] = head
-        claimed |= 1 << pos
-        for a_pos, b_pos in zip(pa[1:], pb[1:]):
-            if not unpaired:
-                break  # every further column in this block must vanish
-            # triangle boundary is {pos, a, b}; XOR with the block pivot
-            # cancels the own bit up front
-            column = _clear_claimed(((1 << a_pos) | (1 << b_pos)) ^ head, claimed, tails)
-            if column == 0:
-                continue
-            # a nonzero fully reduced column is a cycle whose top bit is an
-            # unpaired cycle-creating edge (never a merge edge)
-            low = column.bit_length() - 1
-            birth = unpaired.pop(low)
-            tails[low] = column ^ (1 << low)
-            claimed |= 1 << low
-            if value > birth:
-                rows.append((1, birth, value))
+    def coboundary(pos: int) -> List[int]:
+        """Ascending keys of the triangles on edge pos: max_edge_pos * n_edges
+        + second_edge_pos, unique since two edges fix the third vertex."""
+        a, b = pos_matrix[ei[pos]], pos_matrix[ej[pos]]
+        valid = (a != _NO_EDGE) & (b != _NO_EDGE)  # also drops k = i and k = j
+        hi = np.maximum(a[valid], b[valid])
+        lo = np.minimum(a[valid], b[valid])
+        keys = np.maximum(hi, pos) * n_edges + np.maximum(lo, np.minimum(hi, pos))
+        keys.sort()
+        return keys.tolist()
 
-    for pos in range(n):
-        if parent[pos] == pos:
-            rows.append((0, 0.0, np.inf))
-    for birth in unpaired.values():
-        rows.append((1, birth, np.inf))
+    rows: List[Tuple[int, float, float]] = []
+    cycle_edges = []
+    for pos in np.flatnonzero(~apparent).tolist():
+        ri, rj = find(int(ei[pos])), find(int(ej[pos]))
+        if ri == rj:
+            cycle_edges.append(pos)
+        else:
+            # component merge: an H0 class dies at this scale
+            parent[rj] = ri
+            if values[pos] > 0.0:
+                rows.append((0, 0.0, values[pos]))
+    rows.extend((0, 0.0, np.inf) for v in range(n) if parent[v] == v)
+
+    # cohomology: reduce the coboundary column of each cycle-creating edge,
+    # largest first; every other edge is cleared (a merge) or apparent
+    pivots: Dict[int, set] = {}  # pivot triangle -> reduced column
+    additions = 0
+    for pos in reversed(cycle_edges):
+        heap = coboundary(pos)
+        column = set(heap)  # heap: a lazily cleaned min-heap over column
+        while True:
+            while heap and heap[0] not in column:
+                heapq.heappop(heap)
+            if not heap:
+                rows.append((1, values[pos], np.inf))
+                break
+            pivot = heap[0]
+            other = pivots.get(pivot)
+            if other is None:
+                top, low = divmod(pivot, n_edges)
+                if second[top] != low:
+                    pivots[pivot] = column
+                    if values[top] > values[pos]:
+                        rows.append((1, values[pos], values[top]))
+                    break
+                # pivot is the minimal coface of the apparent edge top
+                other = coboundary(top)
+            additions += 1
+            for key in other:
+                if key in column:
+                    column.remove(key)
+                else:
+                    column.add(key)
+                    heapq.heappush(heap, key)
+    logger.debug("rips_persistence: %d edges, %d apparent pairs, %d reduced columns, "
+                 "%d column additions", n_edges, int(np.count_nonzero(apparent)),
+                 len(cycle_edges), additions)
     return _sorted_diagram(rows)
 
 
-def _matching_feasible(cost: float, a: np.ndarray, b: np.ndarray) -> bool:
+def _matching_feasible(
+    cost: float, cross: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray
+) -> bool:
     """Perfect matching at max edge cost <= cost, diagonal matches allowed.
 
     Left side: points of a, then one diagonal slot per point of b; right
     side mirrors. Diagonal slots pair with each other freely at no cost.
+    cross holds the L-inf costs between points of a and points of b.
     """
-    na, nb = a.shape[0], b.shape[0]
-    diag_a = (a[:, 1] - a[:, 0]) / 2.0
-    diag_b = (b[:, 1] - b[:, 0]) / 2.0
-    total = na + nb
-    adj: List[List[int]] = []
-    for p in range(na):
-        linf = np.max(np.abs(a[p] - b), axis=1) if nb else np.empty(0)
-        targets = np.nonzero(linf <= cost)[0].tolist()
-        if diag_a[p] <= cost:
-            targets.append(nb + p)
-        adj.append(targets)
-    diag_targets = list(range(nb, total))
-    for q in range(nb):
-        targets = list(diag_targets)
-        if diag_b[q] <= cost:
-            targets.append(q)
-        adj.append(targets)
+    # imported here: at module level scipy.sparse adds about 80 ms to every
+    # import of the command line, which most commands never use
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    match_right = [-1] * total
-    for root in range(total):
-        if not _augment(root, adj, match_right):
-            # a left vertex that finds no augmenting path never will later
-            return False
-    return True
-
-
-def _augment(root: int, adj: List[List[int]], match_right: List[int]) -> bool:
-    """Kuhn's depth-first augmenting-path search from one left vertex.
-
-    Rights are tried in adjacency order and a matched right hands the search
-    on to its owner, as in the recursive form, but on an explicit stack so
-    that chains of re-matches may exceed the interpreter's recursion limit.
-    """
-    seen = [False] * len(match_right)
-    stack = [(root, iter(adj[root]))]
-    path: List[int] = []  # path[k] is the right vertex stack[k] is trying
-    while stack:
-        for right in stack[-1][1]:
-            if not seen[right]:
-                seen[right] = True
-                break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        path.append(right)
-        owner = match_right[right]
-        if owner < 0:
-            for (left, _), r in zip(stack, path):
-                match_right[r] = left
-            return True
-        stack.append((owner, iter(adj[owner])))
-    return False
+    na, nb = cross.shape
+    adj = np.zeros((na + nb, nb + na), dtype=bool)
+    adj[:na, :nb] = cross <= cost
+    adj[np.arange(na), nb + np.arange(na)] = diag_a <= cost
+    adj[na + np.arange(nb), np.arange(nb)] = diag_b <= cost
+    adj[na:, nb:] = True
+    match = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
+    return bool(np.all(match >= 0))
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, dim: int = 1) -> float:
@@ -359,15 +334,13 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, dim: int
     a, b = p1[~inf1], p2[~inf2]
     if a.shape[0] == 0 and b.shape[0] == 0:
         return inf_cost
-    candidates = [(a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0]
-    if a.shape[0] and b.shape[0]:
-        cross = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-        candidates.append(cross.ravel())
-    values = np.unique(np.concatenate(candidates + [np.array([0.0])]))
+    diag_a, diag_b = (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+    cross = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    values = np.unique(np.concatenate([diag_a, diag_b, cross.ravel(), [0.0]]))
     lo, hi = 0, values.shape[0] - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_feasible(float(values[mid]), a, b):
+        if _matching_feasible(float(values[mid]), cross, diag_a, diag_b):
             hi = mid
         else:
             lo = mid + 1

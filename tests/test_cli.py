@@ -155,6 +155,12 @@ class TestRunCase:
         assert run_case(cfg, jobs=jobs) == 0
         assert_golden("tiny_two_level", tmp_path)
 
+    def test_timings_are_wall_time_parts(self, tmp_path):
+        cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02))
+        assert run_case(cfg, jobs=2) == 0
+        t = json.loads((tmp_path / "timings.json").read_text())
+        assert t["simulate_s"] + t["embed_persist_s"] + t["render_s"] <= t["total_s"]
+
     def test_all_points_failing_is_reported(self, tmp_path):
         # dt far beyond the stability limit makes every grid point diverge
         cfg = ExperimentConfig(

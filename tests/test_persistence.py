@@ -7,6 +7,8 @@ optimized pipeline must reproduce it exactly, including under a filtration
 cap that leaves classes open.
 """
 
+import hashlib
+import logging
 import sys
 import traceback
 
@@ -184,6 +186,54 @@ def test_rips_matches_naive_oracle_capped():
         assert got == naive_rips_rows(entries, eps_max=cap), f"trial {trial}"
 
 
+def test_rips_matches_naive_oracle_noisy_circles():
+    # these clouds need column additions of both kinds, a stored column
+    # (trials 0, 4, 9, 16) and an apparent edge's coboundary (most trials);
+    # every third cloud is rounded, for ties, and every third is capped below
+    # the big loop's death, which leaves an essential H1 class open
+    rng = np.random.default_rng(31)
+    open_classes = 0
+    for trial in range(24):
+        n = int(rng.integers(20, 31))
+        theta = rng.uniform(0.0, 2 * np.pi, n)
+        points = np.column_stack([np.cos(theta), np.sin(theta)])
+        points += 0.3 * rng.standard_normal((n, 2))
+        if trial % 3 == 1:
+            points = np.round(points, 1)
+        cap = 1.0 if trial % 3 == 2 else None
+        entries = pairwise_distances(PointCloud(points)).entries
+        got = rips_persistence(DistanceMatrix(entries), eps_max=cap).rows()
+        assert got == naive_rips_rows(entries, eps_max=cap), f"trial {trial}"
+        open_classes += sum(1 for dim, _, death in got if dim == 1 and death == np.inf)
+    assert open_classes > 0
+
+
+def test_rips_noisy_ellipse_400_pinned():
+    # digest of the rows computed by the triangle-column homology reduction
+    # that the cohomology reduction replaced
+    rng = np.random.default_rng(400)
+    theta = rng.uniform(0.0, 2 * np.pi, 400)
+    points = np.column_stack([2.0 * np.cos(theta), np.sin(theta)])
+    cloud = PointCloud(points + 0.05 * rng.standard_normal((400, 2)))
+    rows = rips_persistence(pairwise_distances(cloud)).rows()
+    assert len(rows) == 446
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "011a82a81b1a4cb6231852d3e25c0a335e0a5e946f13b7b5e5aea7b742547d5e"
+    )
+
+
+def test_rips_logs_reduction_counters(caplog):
+    d = pairwise_distances(
+        PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    )
+    with caplog.at_level(logging.DEBUG, logger="hopftda.persistence"):
+        rips_persistence(d)
+    assert caplog.messages == [
+        "rips_persistence: 6 edges, 2 apparent pairs, 1 reduced columns, "
+        "0 column additions"
+    ]
+
+
 def test_rips_permutation_invariance():
     rng = np.random.default_rng(5)
     points = rng.standard_normal((30, 2))
@@ -332,6 +382,23 @@ def test_bottleneck_long_rematch_chain_without_recursion():
     finally:
         sys.setrecursionlimit(old_limit)
     assert got == 0.5
+
+
+def random_pair_diagram(rng, k):
+    births = rng.uniform(0.0, 1.0, k)
+    return diagram((1, b, b + p) for b, p in zip(births, rng.uniform(0.0, 1.0, k)))
+
+
+@pytest.mark.parametrize("seed, k, expected", [
+    (300, 300, 0.12567416450520286),
+    (700, 700, 0.08906424640226507),
+])
+def test_bottleneck_random_diagrams_pinned(seed, k, expected):
+    # values computed by the depth-first augmenting-path search that the
+    # library matching replaced
+    rng = np.random.default_rng(seed)
+    d1, d2 = random_pair_diagram(rng, k), random_pair_diagram(rng, k)
+    assert bottleneck_distance(d1, d2) == expected
 
 
 # ------------------------------------------------------------------- stability
