@@ -1,4 +1,5 @@
-"""Pinned sha256 digests of the byte-stable artifacts of a sweep run.
+"""Pinned sha256 digests of the byte-stable artifacts of a sweep run, and of
+the file each single-artifact subcommand writes on a tiny input.
 
 Every sweep.csv, sweep.svg and summary.json a run writes is hashed, and the
 diagram_*.csv files of each directory are hashed together, in name order.
@@ -6,9 +7,10 @@ summary.json echoes the run's out_dir, so that path is replaced by a fixed
 string before hashing.
 
 The digests in GOLDEN were generated by the code before the sweep engine was
-unified, and pin its behaviour: a refactor or speed-up must leave them as
+unified, and those in SUBCOMMANDS by the code before the CLI's readers,
+writers and parser were merged; both pin that behaviour: a refactor or speed-up must leave them as
 they are. To change them on purpose, run the failing test, copy the digests
-its assertion message prints into GOLDEN, and say in CHANGES.md why the
+its assertion message prints into GOLDEN (or SUBCOMMANDS), and say in CHANGES.md why the
 artifacts changed.
 """
 
@@ -76,6 +78,33 @@ GOLDEN = {
             "b2cdcecff21e6a79c0bf56d4ac9f38760007033b818d36c56540c12f062cf0cc",
     },
 }
+
+# output file of each run in tests/test_cli.py SUBCOMMAND_RUNS -> sha256
+SUBCOMMANDS = {
+    "simulate_noise":
+        "262f210628552ce7a3e8b200d22ccf5fa4627e462483be03ad76d2b15fd29261",
+    "embed_fixed":
+        "90ee53df021d45f9aa1521f633ed5fa0a758f7a08f2455c01db0dcf01cf8665f",
+    "embed_auto":
+        "5aa1c02162dec802058c16352929675d0878d1a762f7cdd3aa2416e1b7b071bb",
+    "persist":
+        "4fb9ccd2c4a5f53e3b462f597630e9967f89897f1f9c3e15c7239a9c132bd574",
+    "lyapunov_flags":
+        "61d1c1c7effd1d2d6d41ebafd229c9408eb607ce90b39c271199ce854bb33bad",
+    "lyapunov_config":
+        "234ea6f348a85a6f87b92f335860e344a13040778e481e67d52bd1a9bdc9584c",
+    "correlate":
+        "68dc89ccc41b51defa4a4219d56e4a259fffdd33e5ab16e63fb784f390ca2436",
+    "render_config":
+        "726233596af0d1c214f25a569a6f7bea5688fe0b51af7f14e1329600b860f1a6",
+    "render_critical":
+        "91b4db126f1dcdf40789700902fa70e059994251ff476ef72ad994e7e59e19e2",
+}
+
+
+def file_digest(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def artifact_digests(out_dir) -> dict:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from _golden import assert_golden
+from _golden import SUBCOMMANDS, assert_golden, file_digest
 from hopftda.cli import (
     ExperimentConfig,
     bundled_config,
@@ -289,6 +289,51 @@ class TestSubcommands:
         monkeypatch.setenv("HOPF_TDA_LOG", "verbose")
         assert main(["render", "--in", "x.csv", "--out", "y.svg"]) == 2
         assert "HOPF_TDA_LOG" in capsys.readouterr().err
+
+
+# one run of each single-artifact subcommand on a tiny input, in run order;
+# {d} is the output directory, later runs read earlier outputs, and the
+# written file is the last argument
+SUBCOMMAND_RUNS = {
+    "simulate_noise": ["simulate", "--system", "hopf", "--mu", "0.5", "--steps", "3000",
+                       "--transient", "1000", "--noise", "0.05", "--seed", "3",
+                       "--out", "{d}/series.csv"],
+    "embed_fixed": ["embed", "--in", "{d}/series.csv", "--tau", "26", "--m", "2",
+                    "--out", "{d}/cloud.csv"],
+    "embed_auto": ["embed", "--in", "{d}/series.csv", "--auto", "--out", "{d}/cloud_auto.csv"],
+    "persist": ["persist", "--in", "{d}/cloud.csv", "--n-max", "40", "--seed", "2",
+                "--out", "{d}/diagram.csv"],
+    "lyapunov_flags": ["lyapunov", "--system", "bz", "--sweep-param", "b", "--a", "10.0",
+                       "--min", "2.5", "--max", "4.5", "--count", "3", "--steps", "3000",
+                       "--transient", "500", "--seed", "1", "--out", "{d}/lyap_flags.csv"],
+    "lyapunov_config": ["lyapunov", "--config", "{d}/tiny.json", "--steps", "2000",
+                        "--transient", "500", "--out", "{d}/lyap_config.csv"],
+    "correlate": ["correlate", "--sweep", "{d}/sweep.csv", "--lyapunov", "{d}/lyap_config.csv",
+                  "--out", "{d}/report.json"],
+    "render_config": ["render", "--in", "{d}/sweep.csv", "--config", "{d}/tiny.json",
+                      "--out", "{d}/config.svg"],
+    "render_critical": ["render", "--in", "{d}/sweep.csv", "--critical", "0.25",
+                        "--out", "{d}/critical.svg"],
+}
+
+
+@pytest.fixture(scope="module")
+def subcommand_outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("subcommands")
+    cfg = tiny_config(d, sweep_count=3, critical_reference=0.0)
+    (d / "tiny.json").write_text(json.dumps(cfg.to_dict()))
+    (d / "sweep.csv").write_text(
+        "mu,H,betti_l1,delta_H\n-1.0,0.1,0.0,\n0.0,0.4,1.0,0.30000000000000004\n1.0,0.9,2.0,0.5\n")
+    codes = {name: main([arg.format(d=d) for arg in argv])
+             for name, argv in SUBCOMMAND_RUNS.items()}
+    return codes, {name: argv[-1].format(d=d) for name, argv in SUBCOMMAND_RUNS.items()}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_RUNS))
+def test_subcommand_golden_digest(subcommand_outputs, name):
+    codes, paths = subcommand_outputs
+    assert codes[name] == 0
+    assert file_digest(paths[name]) == SUBCOMMANDS.get(name), name
 
 
 class TestRenderSvg:
