@@ -1,5 +1,12 @@
 """Command-line front end: subcommands over the pipeline plus canned sweeps.
 
+The module parses arguments, reads and writes files, and calls the library.
+Every CSV is read by one checked reader (`_read_table`) and written by one
+writer (`_write_csv`); a lyapunov grid given by flags becomes an
+ExperimentConfig, so each grid comes from `ExperimentConfig.grid`. Each
+subcommand accepts only the flags it reads, and rejects flag mixes in which
+one flag would override another.
+
 Numbers in sweep artifacts use the shortest decimal that round-trips the
 double, so reruns diff cleanly; simulate output uses 17 significant digits.
 summary.json is byte-stable across identical runs; wall-clock numbers go to
@@ -17,7 +24,7 @@ import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from importlib import resources
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,10 +71,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # experiment configuration
 
@@ -82,9 +85,9 @@ class ExperimentConfig:
     sweep_max: float
     sweep_count: int
     fixed: Tuple[Tuple[str, float], ...] = ()
-    dt: float = 0.01
-    n_steps: int = 20_000
-    transient_steps: int = 10_000
+    dt: float = TrajectoryConfig.dt
+    n_steps: int = TrajectoryConfig.n_steps
+    transient_steps: int = TrajectoryConfig.transient_steps
     noise_levels: Tuple[float, ...] = (0.0,)
     embedding_mode: str = "fixed"
     tau: Optional[int] = None
@@ -245,22 +248,27 @@ class _CleanSeries:
         return integrate(c.params_at(value), traj)
 
 
-def _write_sweep_csv(path: str, mus: Sequence[float], hs: Sequence[float], l1s: Sequence[float]):
-    deltas = delta_series(hs)
-    lines = [",".join(SWEEP_HEADER)]
-    for i, (mu, h, l1) in enumerate(zip(mus, hs, l1s)):
-        d = "" if i == 0 else _fmt(deltas[i - 1])
-        lines.append(f"{_fmt(mu)},{_fmt(h)},{_fmt(l1)},{d}")
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write formatted cells under a header, one line per row."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
+
+
+def _write_sweep_csv(path: str, mus: Sequence[float], hs: Sequence[float], l1s: Sequence[float]):
+    blank_then_deltas = [""] + [_fmt(d) for d in delta_series(hs)]
+    _write_csv(path, SWEEP_HEADER, ((_fmt(mu), _fmt(h), _fmt(l1), d)
+                                    for mu, h, l1, d in zip(mus, hs, l1s, blank_then_deltas)))
 
 
 def _write_diagram_csv(path: str, rows: Sequence[Tuple[int, float, float]]):
-    lines = [",".join(DIAGRAM_HEADER)]
-    for dim, birth, death in rows:
-        lines.append(f"{int(dim)},{_fmt(birth)},{_fmt(death)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, DIAGRAM_HEADER,
+               ((str(int(dim)), _fmt(birth), _fmt(death)) for dim, birth, death in rows))
 
 
 def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
@@ -306,18 +314,10 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
         logger.info("noise level %g: %s (mu_hat=%s)", sigma, res.status, res.mu_hat)
     timings["render_s"] = time.perf_counter() - t_render
 
-    summary = {
-        "config": config.to_dict(),
-        "mu_hat": entries[0]["mu_hat"],
-        "noise": entries,
-    }
-    with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    summary = {"config": config.to_dict(), "mu_hat": entries[0]["mu_hat"], "noise": entries}
+    _write_json(os.path.join(config.out_dir, "summary.json"), summary)
     timings["total_s"] = time.perf_counter() - t_start
-    with open(os.path.join(config.out_dir, "timings.json"), "w") as fh:
-        json.dump(timings, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(config.out_dir, "timings.json"), timings)
     return 0 if all(e["status"] == "ok" for e in entries) else 1
 
 
@@ -325,77 +325,63 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
 # csv io
 
 
-def _read_csv(path: str, expect_header: Sequence[str]) -> List[List[str]]:
+def _read_table(path: str, header: Optional[Sequence[str]], min_rows: int,
+                blank_first: Optional[str] = None) -> np.ndarray:
+    """The data rows of a CSV as a float matrix, one column per header name.
+
+    A ``None`` header accepts numbered columns x0,x1,... of any width. The
+    first data cell of column ``blank_first``, when given, must be empty; it
+    reads as nan. Every other cell must parse as a float.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != list(expect_header):
-        raise ValueError(f"{path}: expected header {','.join(expect_header)}, got {','.join(header)}")
-    return rows[1:]
-
-
-def _cell(path: str, row_num: int, name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"{path}: row {row_num}: non-numeric value {text!r} in column {name}"
-        ) from None
+    got = [c.strip() for c in rows[0]]
+    names = list(header) if header is not None else [f"x{k}" for k in range(len(got))]
+    if not got or got != names:
+        want = ",".join(names) if header is not None else "x0,x1,..."
+        raise ValueError(f"{path}: row 1: expected header {want}, got {','.join(got)}")
+    body = rows[1:]
+    if len(body) < min_rows:
+        raise ValueError(f"{path}: need at least {min_rows} data rows, got {len(body)}")
+    blank = names.index(blank_first) if blank_first is not None else None
+    table = np.empty((len(body), len(names)))
+    for i, row in enumerate(body):
+        if len(row) != len(names):
+            raise ValueError(f"{path}: row {i + 2}: expected {len(names)} cells, got {len(row)}")
+        if i == 0 and blank is not None:
+            if row[blank] != "":
+                raise ValueError(f"{path}: row 2: first {blank_first} cell must be empty")
+            row = row[:blank] + ["nan"] + row[blank + 1:]
+        for k, text in enumerate(row):
+            try:
+                table[i, k] = float(text)
+            except ValueError:
+                raise ValueError(f"{path}: row {i + 2}: non-numeric value {text!r} "
+                                 f"in column {names[k]}") from None
+    return table
 
 
 def read_sweep_csv(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse a sweep CSV back into (mu, H, betti_l1) arrays."""
-    body = _read_csv(path, SWEEP_HEADER)
-    if len(body) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, got {len(body)}")
-    mus, hs, l1s = [], [], []
-    for i, row in enumerate(body):
-        row_num = i + 2  # 1-based, counting the header row
-        if len(row) != 4:
-            raise ValueError(f"{path}: row {row_num}: expected 4 cells, got {len(row)}")
-        mus.append(_cell(path, row_num, "mu", row[0]))
-        hs.append(_cell(path, row_num, "H", row[1]))
-        l1s.append(_cell(path, row_num, "betti_l1", row[2]))
-        if i == 0:
-            if row[3] != "":
-                raise ValueError(f"{path}: row {row_num}: first delta_H cell must be empty")
-        else:
-            _cell(path, row_num, "delta_H", row[3])
-    return np.array(mus), np.array(hs), np.array(l1s)
+    table = _read_table(path, SWEEP_HEADER, 2, blank_first="delta_H")
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def read_series_csv(path: str) -> TimeSeries:
-    body = _read_csv(path, ("t", "x"))
-    if len(body) < 2:
-        raise ValueError(f"{path}: need at least 2 samples")
-    ts, xs = [], []
-    for i, row in enumerate(body):
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {i + 2}: expected 2 cells, got {len(row)}")
-        ts.append(_cell(path, i + 2, "t", row[0]))
-        xs.append(_cell(path, i + 2, "x", row[1]))
+    t, x = _read_table(path, ("t", "x"), 2).T
     # dt from the first gap; only the values drive the pipeline downstream
-    return TimeSeries(t0=ts[0], dt=ts[1] - ts[0], values=np.array(xs))
+    return TimeSeries(t0=t[0], dt=t[1] - t[0], values=x)
 
 
 def read_cloud_csv(path: str) -> PointCloud:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if not header or header != [f"x{k}" for k in range(len(header))]:
-        raise ValueError(f"{path}: expected header x0,x1,...")
-    pts = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2}: expected {len(header)} cells, got {len(row)}")
-        pts.append([_cell(path, i + 2, header[k], c) for k, c in enumerate(row)])
-    if not pts:
-        raise ValueError(f"{path}: no points")
-    return PointCloud(points=np.array(pts))
+    return PointCloud(points=_read_table(path, None, 1))
+
+
+def read_lyapunov_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
+    table = _read_table(path, ("mu", "lambda1"), 0)
+    return table[:, 0], table[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -474,24 +460,26 @@ def render_svg(csv_path: str, svg_path: str, critical_reference: Optional[float]
 # subcommands
 
 
-def _flag_param_kwargs(args, swept: Sequence[str] = ()) -> dict:
-    """Parameter flags given on the command line, checked against the system."""
-    kwargs = {flag: getattr(args, flag) for flag in _PARAM_FLAGS
-              if getattr(args, flag, None) is not None}
-    _check_params(args.system, list(kwargs) + list(swept))
-    return kwargs
+def _reject(flags: dict, why: str) -> None:
+    """Fail on any of the given flags that was set, naming them."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} {why}")
+
+
+def _param_flags(args) -> dict:
+    """The system-parameter flags set on the command line, by parameter name."""
+    return {flag: getattr(args, flag) for flag in _PARAM_FLAGS if getattr(args, flag) is not None}
 
 
 def _cmd_simulate(args) -> int:
-    params = SYSTEMS[args.system](**_flag_param_kwargs(args))
+    kwargs = _param_flags(args)
+    _check_params(args.system, list(kwargs))
     traj = TrajectoryConfig(dt=args.dt, n_steps=args.steps, transient_steps=args.transient)
-    series = integrate(params, traj)
-    series = add_noise(series, NoiseSpec(sigma_rel=args.noise, seed=args.seed or 0))
-    lines = ["t,x"]
-    for t, x in zip(series.times, series.values):
-        lines.append(f"{_fmt17(t)},{_fmt17(x)}")
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    series = integrate(SYSTEMS[args.system](**kwargs), traj)
+    series = add_noise(series, NoiseSpec(sigma_rel=args.noise, seed=args.seed))
+    rows = ((format(t, ".17g"), format(x, ".17g")) for t, x in zip(series.times, series.values))
+    _write_csv(args.out, ("t", "x"), rows)
     logger.info("wrote %d samples to %s", len(series), args.out)
     return 0
 
@@ -499,25 +487,24 @@ def _cmd_simulate(args) -> int:
 def _cmd_embed(args) -> int:
     series = read_series_csv(args.input)
     if args.auto:
-        tau = select_delay(series, max_lag=args.max_lag, n_bins=args.bins).tau
+        _reject({"--tau": args.tau, "--m": args.m}, "cannot be combined with --auto")
+        given = {"max_lag": args.max_lag, "n_bins": args.bins}
+        tau = select_delay(series, **{k: v for k, v in given.items() if v is not None}).tau
         m = select_dimension(series, tau).m
         logger.info("auto embedding selected tau=%d m=%d", tau, m)
     else:
+        _reject({"--max-lag": args.max_lag, "--bins": args.bins}, "apply only with --auto")
         if args.tau is None or args.m is None:
             raise ValueError("embed needs either --auto or both --tau and --m")
         tau, m = args.tau, args.m
     cloud = delay_embed(series, EmbeddingParams(tau=tau, m=m))
-    lines = [",".join(f"x{k}" for k in range(cloud.dim))]
-    for row in cloud.points:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, [f"x{k}" for k in range(cloud.dim)],
+               ([_fmt(v) for v in row] for row in cloud.points))
     return 0
 
 
 def _cmd_persist(args) -> int:
-    cloud = read_cloud_csv(args.input)
-    cloud = maxmin_subsample(cloud, n_max=args.n_max, seed=args.seed or 0)
+    cloud = maxmin_subsample(read_cloud_csv(args.input), n_max=args.n_max, seed=args.seed)
     diagram = rips_persistence(pairwise_distances(cloud), eps_max=args.eps_max)
     _write_diagram_csv(args.out, diagram.rows())
     return 0
@@ -532,61 +519,41 @@ def _cmd_sweep(args) -> int:
     return run_case(config, jobs=args.jobs)
 
 
-def _cmd_lyapunov(args) -> int:
+def _lyapunov_grid(args) -> ExperimentConfig:
+    """The system, grid and seed of a lyapunov run: from --config or from flags."""
+    grid_flags = {"--system": args.system, "--sweep-param": args.sweep_param,
+                  "--min": args.min, "--max": args.max, "--count": args.count,
+                  **{f"--{name}": v for name, v in _param_flags(args).items()}}
     if args.config is not None:
-        config = load_config(args.config)
-        grid = config.grid()
-        params_at = config.params_at
-        seed = config.seed if args.seed is None else args.seed
-    else:
-        if args.system is None or args.min is None or args.max is None or args.count is None:
-            raise ValueError("lyapunov needs --config, or --system with --min/--max/--count")
-        if args.count < 2:
-            raise ValueError(f"count must be >= 2, got {args.count}")
-        grid = np.round(np.linspace(args.min, args.max, args.count), 12)
-        sweep_name = args.sweep_param
-        cls = SYSTEMS[args.system]
-        kwargs = _flag_param_kwargs(args, swept=[sweep_name])
+        _reject(grid_flags, "cannot be combined with --config, which sets the grid")
+        return load_config(args.config)
+    if args.system is None or args.min is None or args.max is None or args.count is None:
+        raise ValueError("lyapunov needs --config, or --system with --min/--max/--count")
+    # embedding fields are unused here; "auto" needs none of them
+    return ExperimentConfig(system=args.system,
+                            sweep_name=args.sweep_param or SYSTEMS[args.system].swept,
+                            sweep_min=args.min, sweep_max=args.max, sweep_count=args.count,
+                            fixed=tuple(_param_flags(args).items()), embedding_mode="auto")
 
-        def params_at(value):
-            return cls(**{**kwargs, sweep_name: float(value)})
 
-        seed = args.seed or 0
-    lcfg = LyapunovConfig(
-        dt=args.dt,
-        n_steps=args.steps,
-        transient_steps=args.transient,
-        renorm_interval=args.renorm,
-        d0=args.d0,
-        seed=seed,
-    )
-    lines = ["mu,lambda1"]
-    written = 0
-    for mu in grid:
+def _cmd_lyapunov(args) -> int:
+    config = _lyapunov_grid(args)
+    lcfg = LyapunovConfig(dt=args.dt, n_steps=args.steps, transient_steps=args.transient,
+                          renorm_interval=args.renorm, d0=args.d0,
+                          seed=config.seed if args.seed is None else args.seed)
+    rows = []
+    for mu in config.grid():
         try:
-            lam = largest_lyapunov(params_at(float(mu)), lcfg)
+            lam = largest_lyapunov(config.params_at(float(mu)), lcfg)
         except IntegrationDiverged as exc:
             logger.warning("lambda1 at %g failed: %s", mu, exc)
             continue
-        lines.append(f"{_fmt(mu)},{_fmt(lam)}")
-        written += 1
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if written == 0:
+        rows.append((_fmt(mu), _fmt(lam)))
+    _write_csv(args.out, ("mu", "lambda1"), rows)
+    if not rows:
         logger.error("no grid point produced an exponent")
         return 1
     return 0
-
-
-def read_lyapunov_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    body = _read_csv(path, ("mu", "lambda1"))
-    mus, lams = [], []
-    for i, row in enumerate(body):
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {i + 2}: expected 2 cells, got {len(row)}")
-        mus.append(_cell(path, i + 2, "mu", row[0]))
-        lams.append(_cell(path, i + 2, "lambda1", row[1]))
-    return np.array(mus), np.array(lams)
 
 
 def _cmd_correlate(args) -> int:
@@ -594,29 +561,20 @@ def _cmd_correlate(args) -> int:
     lmus, lams = read_lyapunov_csv(args.lyapunov)
     if mus.shape != lmus.shape or not np.allclose(mus, lmus, rtol=0, atol=1e-12):
         raise ValueError("sweep and lyapunov CSVs cover different parameter grids")
-    sweep = functional.SweepResult(
-        params=mus,
-        h_values=hs,
-        betti_l1=l1s,
-        delta_h=delta_series(hs),
-        mu_hat=estimate_critical(mus, hs),
-    )
-    report = correlate_sweep(sweep, lams)
-    text = json.dumps(asdict(report), indent=2) + "\n"
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    sweep = functional.SweepResult(params=mus, h_values=hs, betti_l1=l1s,
+                                   delta_h=delta_series(hs), mu_hat=estimate_critical(mus, hs))
+    report = asdict(correlate_sweep(sweep, lams))
+    if args.out is None:
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        sys.stdout.write(text)
+        _write_json(args.out, report)
     return 0
 
 
 def _cmd_render(args) -> int:
-    critical = None
+    critical = args.critical
     if args.config is not None:
         critical = load_config(args.config).critical_reference
-    if args.critical is not None:
-        critical = args.critical
     render_svg(args.input, args.out, critical)
     return 0
 
@@ -624,72 +582,83 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_CONFIG_HELP = "experiment config: a JSON path or a bundled name"
+
+
+def _add_system_flags(cmd: argparse.ArgumentParser, required: bool) -> None:
+    cmd.add_argument("--system", required=required, choices=sorted(SYSTEMS))
+    for flag in _PARAM_FLAGS:
+        cmd.add_argument(f"--{flag}", type=float)
+
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config: a JSON path or a bundled name")
-    common.add_argument("--out", help="output path (directory for sweep, file otherwise)")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for grid points")
-    common.add_argument("--seed", type=int, default=None, help="base random seed")
-
+    """One subparser per command, each with only the flags its command reads."""
     p = argparse.ArgumentParser(prog="hopftda",
                                 description="Topological transition detection pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", parents=[common], help="integrate a system to a t,x CSV")
-    sim.add_argument("--system", required=True, choices=sorted(SYSTEMS))
-    for flag in _PARAM_FLAGS:
-        sim.add_argument(f"--{flag}", type=float, default=None)
-    sim.add_argument("--dt", type=float, default=0.01)
-    sim.add_argument("--steps", type=int, default=20_000)
-    sim.add_argument("--transient", type=int, default=10_000)
+    def command(name, func, help, optional_out=None):
+        """A subparser with --out, required unless optional_out says what it defaults to."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(func=func)
+        cmd.add_argument("--out", required=optional_out is None,
+                         help=optional_out or "output file")
+        return cmd
+
+    sim = command("simulate", _cmd_simulate, "integrate a system to a t,x CSV")
+    _add_system_flags(sim, required=True)
+    sim.add_argument("--dt", type=float, default=TrajectoryConfig.dt)
+    sim.add_argument("--steps", type=int, default=TrajectoryConfig.n_steps)
+    sim.add_argument("--transient", type=int, default=TrajectoryConfig.transient_steps)
     sim.add_argument("--noise", type=float, default=0.0, help="relative noise level")
-    sim.set_defaults(func=_cmd_simulate)
+    sim.add_argument("--seed", type=int, default=NoiseSpec.seed, help="noise seed")
 
-    emb = sub.add_parser("embed", parents=[common], help="delay-embed a series CSV")
+    emb = command("embed", _cmd_embed, "delay-embed a series CSV")
     emb.add_argument("--in", dest="input", required=True)
-    emb.add_argument("--tau", type=int, default=None)
-    emb.add_argument("--m", type=int, default=None)
+    emb.add_argument("--tau", type=int)
+    emb.add_argument("--m", type=int)
     emb.add_argument("--auto", action="store_true", help="select tau and m automatically")
-    emb.add_argument("--max-lag", type=int, default=DEFAULT_MAX_LAG)
-    emb.add_argument("--bins", type=int, default=DEFAULT_N_BINS)
-    emb.set_defaults(func=_cmd_embed)
+    emb.add_argument("--max-lag", type=int, help=f"with --auto (default {DEFAULT_MAX_LAG})")
+    emb.add_argument("--bins", type=int, help=f"with --auto (default {DEFAULT_N_BINS})")
 
-    per = sub.add_parser("persist", parents=[common], help="persistence diagram of a cloud CSV")
+    per = command("persist", _cmd_persist, "persistence diagram of a cloud CSV")
     per.add_argument("--in", dest="input", required=True)
-    per.add_argument("--eps-max", type=float, default=None)
+    per.add_argument("--eps-max", type=float)
     per.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    per.set_defaults(func=_cmd_persist)
+    per.add_argument("--seed", type=int, default=0, help="landmark seed")
 
-    swe = sub.add_parser("sweep", parents=[common], help="run a configured parameter sweep")
-    swe.set_defaults(func=_cmd_sweep)
+    swe = command("sweep", _cmd_sweep, "run a configured parameter sweep",
+                  optional_out="output directory (default: the config's out_dir)")
+    swe.add_argument("--config", required=True, help=_CONFIG_HELP)
+    swe.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                     help="worker processes for grid points")
+    swe.add_argument("--seed", type=int, help="base random seed (default: the config's)")
 
-    lya = sub.add_parser("lyapunov", parents=[common], help="largest exponents over a grid")
-    lya.add_argument("--system", choices=sorted(SYSTEMS), default=None)
-    for flag in _PARAM_FLAGS:
-        lya.add_argument(f"--{flag}", type=float, default=None)
-    lya.add_argument("--sweep-param", default="mu", help="parameter swept over the grid")
-    lya.add_argument("--min", type=float, default=None)
-    lya.add_argument("--max", type=float, default=None)
-    lya.add_argument("--count", type=int, default=None)
-    lya.add_argument("--dt", type=float, default=0.01)
-    lya.add_argument("--steps", type=int, default=200_000)
-    lya.add_argument("--transient", type=int, default=40_000)
-    lya.add_argument("--renorm", type=int, default=10)
-    lya.add_argument("--d0", type=float, default=1e-8)
-    lya.set_defaults(func=_cmd_lyapunov)
+    lya = command("lyapunov", _cmd_lyapunov, "largest exponents over a grid")
+    lya.add_argument("--config", help=_CONFIG_HELP + "; replaces the grid flags below")
+    _add_system_flags(lya, required=False)
+    lya.add_argument("--sweep-param", help="parameter swept over the grid "
+                     "(default: the system's, mu, rho or b)")
+    lya.add_argument("--min", type=float)
+    lya.add_argument("--max", type=float)
+    lya.add_argument("--count", type=int)
+    lya.add_argument("--dt", type=float, default=LyapunovConfig.dt)
+    lya.add_argument("--steps", type=int, default=LyapunovConfig.n_steps)
+    lya.add_argument("--transient", type=int, default=LyapunovConfig.transient_steps)
+    lya.add_argument("--renorm", type=int, default=LyapunovConfig.renorm_interval)
+    lya.add_argument("--d0", type=float, default=LyapunovConfig.d0)
+    lya.add_argument("--seed", type=int, help="perturbation seed (default: the config's, or 0)")
 
-    cor = sub.add_parser("correlate", parents=[common], help="correlate H with lambda1")
+    cor = command("correlate", _cmd_correlate, "correlate H with lambda1",
+                  optional_out="report JSON path (default: stdout)")
     cor.add_argument("--sweep", required=True, help="sweep.csv path")
     cor.add_argument("--lyapunov", required=True, help="mu,lambda1 CSV path")
-    cor.set_defaults(func=_cmd_correlate)
 
-    ren = sub.add_parser("render", parents=[common], help="render a sweep CSV to SVG")
+    ren = command("render", _cmd_render, "render a sweep CSV to SVG")
     ren.add_argument("--in", dest="input", required=True)
-    ren.add_argument("--critical", type=float, default=None,
-                     help="critical reference marker position")
-    ren.set_defaults(func=_cmd_render)
+    marker = ren.add_mutually_exclusive_group()
+    marker.add_argument("--critical", type=float, help="critical reference marker position")
+    marker.add_argument("--config", help=_CONFIG_HELP + "; its critical reference")
     return p
 
 
@@ -711,19 +680,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: HOPF_TDA_LOG must be one of error, info, debug; got {bad!r}",
               file=sys.stderr)
         return 2
-    args = _parser().parse_args(argv)
-    needs_out = args.command in ("simulate", "embed", "persist", "lyapunov", "render")
-    if needs_out and args.out is None:
-        print("error: this command requires --out", file=sys.stderr)
-        return 2
-    if args.command == "sweep" and args.config is None:
-        print("error: sweep requires --config", file=sys.stderr)
-        return 2
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IntegrationDiverged, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # bad input exits 2; a computation that failed (IntegrationDiverged too) exits 1
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1

@@ -169,24 +169,6 @@ def _as_state(params: SystemParams, state: Sequence[float]) -> State:
     return state
 
 
-def vector_field(params: SystemParams, state: Sequence[float]) -> np.ndarray:
-    """Evaluate the system right-hand side at ``state``.
-
-    Parameters
-    ----------
-    params : SystemParams
-        Parameter record identifying the system.
-    state : sequence of float
-        State vector; length must match the system dimension.
-
-    Returns
-    -------
-    numpy.ndarray
-        Time derivative of the state.
-    """
-    return np.array(params.rhs()(_as_state(params, state)), dtype=float)
-
-
 def rk4_step_field(field: Callable[[State], State], state: State, dt: float) -> State:
     """One classical RK4 step of an arbitrary autonomous field on float tuples."""
     k1 = field(state)
@@ -199,16 +181,6 @@ def rk4_step_field(field: Callable[[State], State], state: State, dt: float) -> 
         s + sixth * (a + 2.0 * (b + c) + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
-
-
-def rk4_step(params: SystemParams, state: Sequence[float], dt: float) -> np.ndarray:
-    """One classical RK4 step of the given system (local error O(dt^5))."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    out = rk4_step_field(params.rhs(), _as_state(params, state), dt)
-    if not all(-_BIG < s < _BIG for s in out):
-        raise IntegrationDiverged("state became non-finite within one step", step=0)
-    return np.array(out, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from hopftda.dynsys import (
     add_noise,
     integrate,
     rk4_step_field,
-    vector_field,
 )
 from hopftda.embedding import EmbeddingParams, PointCloud, fnn_fraction, mutual_information
 from hopftda.functional import PersistenceConfig, run_sweep
@@ -176,10 +175,14 @@ def bz_max_real_eigenvalue(b: float) -> float:
     Equilibrium by damped Newton on the printed right-hand side, Jacobian by
     central differences: independent of the closed-form stability condition.
     """
-    params = BzParams(a=10.0, b=float(b))
+    rhs = BzParams(a=10.0, b=float(b)).rhs()
+
+    def vector_field(state):
+        return np.array(rhs(tuple(state)))
+
     state = np.array([1.5, 4.0])
     for _ in range(200):
-        f = vector_field(params, state)
+        f = vector_field(state)
         J = np.empty((2, 2))
         h = 1e-7
         for k in range(2):
@@ -187,7 +190,7 @@ def bz_max_real_eigenvalue(b: float) -> float:
             dn = state.copy()
             up[k] += h
             dn[k] -= h
-            J[:, k] = (vector_field(params, up) - vector_field(params, dn)) / (2 * h)
+            J[:, k] = (vector_field(up) - vector_field(dn)) / (2 * h)
         delta = np.linalg.solve(J, -f)
         state = state + delta
         if np.max(np.abs(delta)) < 1e-13:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from hopftda.cli import (
     ExperimentConfig,
     bundled_config,
     load_config,
+    _parser,
     main,
+    read_cloud_csv,
+    read_lyapunov_csv,
+    read_series_csv,
     read_sweep_csv,
     render_svg,
     run_case,
@@ -289,6 +295,111 @@ class TestSubcommands:
         monkeypatch.setenv("HOPF_TDA_LOG", "verbose")
         assert main(["render", "--in", "x.csv", "--out", "y.svg"]) == 2
         assert "HOPF_TDA_LOG" in capsys.readouterr().err
+
+
+PARAM_FLAGS = {"--mu", "--omega", "--sigma", "--rho", "--beta", "--a", "--b"}
+ACCEPTED_FLAGS = {
+    "simulate": {"--out", "--system", *PARAM_FLAGS, "--dt", "--steps", "--transient",
+                 "--noise", "--seed"},
+    "embed": {"--out", "--in", "--tau", "--m", "--auto", "--max-lag", "--bins"},
+    "persist": {"--out", "--in", "--eps-max", "--n-max", "--seed"},
+    "sweep": {"--out", "--config", "--jobs", "--seed"},
+    "lyapunov": {"--out", "--config", "--system", *PARAM_FLAGS, "--sweep-param", "--min",
+                 "--max", "--count", "--dt", "--steps", "--transient", "--renorm", "--d0",
+                 "--seed"},
+    "correlate": {"--out", "--sweep", "--lyapunov"},
+    "render": {"--out", "--in", "--critical", "--config"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self):
+        sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {name: {flag for action in cmd._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, cmd in sub.choices.items()}
+        assert got == ACCEPTED_FLAGS
+        assert sum(len(flags) for flags in got.values()) == 57
+
+    def test_unread_flag_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--system", "hopf", "--mu", "1.0", "--jobs", "7",
+                     "--config", "nonexistent", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "unrecognized arguments: --jobs 7 --config nonexistent" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("system,swept,lo,hi,fixed", [
+        ("lorenz", "rho", "20.0", "28.0", []),
+        ("bz", "b", "2.5", "4.5", ["--a", "10.0"]),
+    ])
+    def test_lyapunov_sweeps_the_systems_parameter_by_default(self, tmp_path, system, swept,
+                                                              lo, hi, fixed):
+        argv = ["lyapunov", "--system", system, *fixed, "--min", lo, "--max", hi,
+                "--count", "2", "--steps", "2000", "--transient", "500"]
+        assert main(argv + ["--out", str(tmp_path / "default.csv")]) == 0
+        assert main(argv + ["--sweep-param", swept, "--out", str(tmp_path / "named.csv")]) == 0
+        text = (tmp_path / "default.csv").read_text()
+        assert text == (tmp_path / "named.csv").read_text()
+        assert [line.split(",")[0] for line in text.splitlines()] == ["mu", lo, hi]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lyapunov", "--config", "case_a", "--system", "lorenz"],
+         "--system cannot be combined with --config"),
+        (["lyapunov", "--config", "case_a", "--min", "0.0", "--omega", "2.0"],
+         "--min, --omega cannot be combined with --config"),
+        (["lyapunov", "--system", "hopf", "--min", "1.0", "--max", "-1.0", "--count", "3"],
+         "min must be < max"),
+        (["lyapunov", "--system", "hopf", "--mu", "0.3", "--min", "-1.0", "--max", "1.0",
+          "--count", "3"], "'mu' collides with the sweep parameter"),
+        (["lyapunov", "--system", "hopf", "--sweep-param", "rho", "--min", "20.0",
+          "--max", "28.0", "--count", "2"], "hopf has no parameter 'rho'"),
+        (["lyapunov", "--system", "hopf", "--min", "-1.0", "--max", "1.0"],
+         "--system with --min/--max/--count"),
+        (["embed", "--in", "s.csv", "--auto", "--tau", "5"], "--tau cannot be combined with --auto"),
+        (["embed", "--in", "s.csv", "--tau", "5", "--m", "2", "--bins", "8"],
+         "--bins apply only with --auto"),
+        (["render", "--in", "sweep.csv", "--config", "case_a", "--critical", "0.5"],
+         "not allowed with argument"),
+    ])
+    def test_flag_mixes_rejected(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--system", "hopf", "--mu", "1.0", "--steps", "1200",
+              "--transient", "1000", "--out", "s.csv"])
+        assert main(argv + ["--out", "out.file"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.file").exists()
+
+
+# format -> (reader, header line, two valid data rows)
+CSV_FORMATS = {
+    "series": (read_series_csv, "t,x", ["0.0,1.0", "0.01,2.0"]),
+    "cloud": (read_cloud_csv, "x0,x1", ["0.0,1.0", "1.0,0.0"]),
+    "lyapunov": (read_lyapunov_csv, "mu,lambda1", ["0.0,-1.0", "1.0,0.5"]),
+    "sweep": (read_sweep_csv, "mu,H,betti_l1,delta_H", ["0.0,0.1,0.0,", "1.0,0.5,1.0,0.4"]),
+}
+# defect -> (lines of the damaged file, expected message after "<path>: ")
+CSV_DEFECTS = {
+    "wrong header": (lambda header, rows: [header.rsplit(",", 1)[0] + ",bogus", *rows],
+                     "row 1: expected header"),
+    "short row": (lambda header, rows: [header, rows[0], rows[1].rsplit(",", 1)[0]],
+                  "row 3: expected"),
+    "non-numeric cell": (lambda header, rows: [header, rows[0],
+                                               "oops" + rows[1][rows[1].index(","):]],
+                         "row 3: non-numeric value 'oops' in column {first}"),
+}
+
+
+@pytest.mark.parametrize("defect", list(CSV_DEFECTS))
+@pytest.mark.parametrize("fmt", list(CSV_FORMATS))
+def test_reader_errors_name_file_and_row(tmp_path, fmt, defect):
+    reader, header, rows = CSV_FORMATS[fmt]
+    path = tmp_path / f"{fmt}.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    reader(str(path))
+    damage, message = CSV_DEFECTS[defect]
+    path.write_text("\n".join(damage(header, rows)) + "\n")
+    message = message.format(first=header.split(",")[0])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        reader(str(path))
 
 
 # one run of each single-artifact subcommand on a tiny input, in run order;
