@@ -77,6 +77,22 @@ GOLDEN = {
         "summary.json":
             "b2cdcecff21e6a79c0bf56d4ac9f38760007033b818d36c56540c12f062cf0cc",
     },
+    "tiny_auto": {
+        "noise_00/diagram_*.csv":
+            "f7994a3177935060a634a04dc7c146ba09a491eef3a93d5acf4b4ef82ad47bf7",
+        "noise_00/sweep.csv":
+            "288f771a156127923117bbacd5370f28e7e6608394ebbb8b97deb92621eecd39",
+        "noise_00/sweep.svg":
+            "b34c45f20faf2847c74a9b936804509146916a292b04cf404ee66431372c9de6",
+        "noise_01/diagram_*.csv":
+            "eb70cb64d384fd6d93ed9da41868d3ff9e648baac21421459b88b2c2c203f35c",
+        "noise_01/sweep.csv":
+            "d93f19c1d4eaf284c0cab44397d9e2bb10c59cd762435e1583e590db7ade2fca",
+        "noise_01/sweep.svg":
+            "ce347e56640d527897eef8c6070b6c3cce56fc5cf12cff793555c172d59adea3",
+        "summary.json":
+            "9d7df367ff0398db18d2fc0836175a7ed5c2e372279b207bd130751364c470cb",
+    },
 }
 
 # output file of each run in tests/test_cli.py SUBCOMMAND_RUNS -> sha256

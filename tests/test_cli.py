@@ -161,6 +161,12 @@ class TestRunCase:
         assert run_case(cfg, jobs=jobs) == 0
         assert_golden("tiny_two_level", tmp_path)
 
+    def test_auto_two_level_golden_digests(self, tmp_path):
+        cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02), embedding_mode="auto",
+                          tau=None, m=None)
+        assert run_case(cfg, jobs=1) == 0
+        assert_golden("tiny_auto", tmp_path)
+
     def test_timings_are_wall_time_parts(self, tmp_path):
         cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02))
         assert run_case(cfg, jobs=2) == 0
