@@ -55,7 +55,6 @@ from .persistence import (
     pairwise_distances,
     rips_persistence,
 )
-from . import functional
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +74,29 @@ def _fmt(x: float) -> str:
 # experiment configuration
 
 
+# the optional scalars of a config file by type; absent or null keeps the default
+_SCALARS = {"dt": float, "n_steps": int, "transient_steps": int, "n_max": int,
+            "eps_grid_size": int, "seed": int, "out_dir": str, "critical_reference": float}
+# the keys from_dict reads, per section; the embedding's depend on its mode
+_CONFIG_KEYS = ("system", "fixed", "sweep", "noise_levels", "embedding", *_SCALARS)
+_SWEEP_KEYS = ("name", "min", "max", "count")
+_EMBEDDING_KEYS = {"fixed": ("mode", "tau", "m"), "auto": ("mode",)}
+
+
+def _reject_unknown(section: dict, known: Sequence[str], prefix: str = "") -> None:
+    unknown = [prefix + key for key in section if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One reproducible sweep: system, grid, integration, embedding, seeds."""
+    """One reproducible sweep: system, grid, integration, embedding, seeds.
+
+    Auto embedding selects tau (first MI minimum up to lag DEFAULT_MAX_LAG)
+    and m (false nearest neighbors) per series. Loading builds every record
+    the config feeds, so a bad value fails here rather than mid-run.
+    """
 
     system: str
     sweep_name: str
@@ -92,7 +111,6 @@ class ExperimentConfig:
     embedding_mode: str = "fixed"
     tau: Optional[int] = None
     m: Optional[int] = None
-    max_lag: int = DEFAULT_MAX_LAG
     n_max: int = 200
     eps_grid_size: int = 64
     seed: int = 0
@@ -112,19 +130,19 @@ class ExperimentConfig:
             raise ValueError("sweep min must be < max")
         if not self.noise_levels:
             raise ValueError("need at least one noise level")
-        for s in self.noise_levels:
-            if s < 0:
-                raise ValueError(f"noise levels must be >= 0, got {s}")
+        if any(s < 0 for s in self.noise_levels):
+            raise ValueError(f"noise levels must be >= 0, got {list(self.noise_levels)}")
         if self.embedding_mode not in ("fixed", "auto"):
             raise ValueError(f"embedding mode must be 'fixed' or 'auto', got {self.embedding_mode!r}")
         if self.embedding_mode == "fixed" and (self.tau is None or self.m is None):
             raise ValueError("fixed embedding mode requires tau and m")
+        if self.embedding_mode == "auto" and (self.tau is not None or self.m is not None):
+            raise ValueError("auto embedding mode selects tau and m; leave them unset")
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
-        if self.eps_grid_size < 2:
-            raise ValueError(f"eps_grid_size must be >= 2, got {self.eps_grid_size}")
-        # TrajectoryConfig re-validates dt/steps; fail here, before any work
-        TrajectoryConfig(dt=self.dt, n_steps=self.n_steps, transient_steps=self.transient_steps)
+        self.trajectory()
+        self.embedding()
+        self.persistence()
 
     def grid(self) -> np.ndarray:
         # rounding keeps csv values like 0.1 instead of 0.10000000000000009
@@ -133,15 +151,27 @@ class ExperimentConfig:
             raise ValueError("sweep grid is not strictly ascending at 12-decimal resolution")
         return g
 
+    def trajectory(self) -> TrajectoryConfig:
+        return TrajectoryConfig(dt=self.dt, n_steps=self.n_steps,
+                                transient_steps=self.transient_steps)
+
     def embedding(self) -> Optional[EmbeddingParams]:
+        """The fixed (tau, m), or None: select them per series."""
         if self.embedding_mode == "fixed":
             return EmbeddingParams(tau=int(self.tau), m=int(self.m))
         return None
+
+    def persistence(self) -> PersistenceConfig:
+        return PersistenceConfig(n_max=self.n_max, seed=self.seed, eps_grid_size=self.eps_grid_size)
 
     def params_at(self, value: float) -> SystemParams:
         kwargs = {name: v for name, v in self.fixed}
         kwargs[self.sweep_name] = float(value)
         return SYSTEMS[self.system](**kwargs)
+
+    def series_at(self, value: float) -> TimeSeries:
+        """The clean observed series at a grid value (a picklable bound method)."""
+        return integrate(self.params_at(value), self.trajectory())
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +190,7 @@ class ExperimentConfig:
             "embedding": (
                 {"mode": "fixed", "tau": self.tau, "m": self.m}
                 if self.embedding_mode == "fixed"
-                else {"mode": "auto", "max_lag": self.max_lag}
+                else {"mode": "auto"}
             ),
             "n_max": self.n_max,
             "eps_grid_size": self.eps_grid_size,
@@ -171,9 +201,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of a to_dict-shaped dict; an unknown key is an error."""
+        _reject_unknown(d, _CONFIG_KEYS)
         try:
             sweep = d["sweep"]
             emb = d.get("embedding", {"mode": "auto"})
+            _reject_unknown(sweep, _SWEEP_KEYS, "sweep.")
+            # an unknown mode is left for __post_init__ to name
+            known = _EMBEDDING_KEYS.get(emb.get("mode", "fixed"), _EMBEDDING_KEYS["fixed"])
+            _reject_unknown(emb, known, "embedding.")
             kwargs = dict(
                 system=d["system"],
                 sweep_name=sweep["name"],
@@ -187,18 +223,11 @@ class ExperimentConfig:
             if kwargs["embedding_mode"] == "fixed":
                 kwargs["tau"] = int(emb["tau"])
                 kwargs["m"] = int(emb["m"])
-            elif "max_lag" in emb:
-                kwargs["max_lag"] = int(emb["max_lag"])
         except KeyError as exc:
             raise ValueError(f"config is missing required key {exc}") from None
-        for key in ("dt", "critical_reference"):
+        for key, kind in _SCALARS.items():
             if d.get(key) is not None:
-                kwargs[key] = float(d[key])
-        for key in ("n_steps", "transient_steps", "n_max", "eps_grid_size", "seed"):
-            if key in d:
-                kwargs[key] = int(d[key])
-        if "out_dir" in d:
-            kwargs["out_dir"] = str(d["out_dir"])
+                kwargs[key] = kind(d[key])
         return cls(**kwargs)
 
 
@@ -236,18 +265,6 @@ def _check_params(system: str, names: Sequence[str]) -> None:
         raise ValueError(f"{system} parameters: missing required {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class _CleanSeries:
-    """Picklable series factory of a config: the clean observed series at a value."""
-
-    config: ExperimentConfig
-
-    def __call__(self, value: float) -> TimeSeries:
-        c = self.config
-        traj = TrajectoryConfig(dt=c.dt, n_steps=c.n_steps, transient_steps=c.transient_steps)
-        return integrate(c.params_at(value), traj)
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
     """Write formatted cells under a header, one line per row."""
     lines = [",".join(header)] + [",".join(row) for row in rows]
@@ -283,11 +300,9 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
         raise ValueError(f"output directory {config.out_dir!r} is not writable")
 
     grid = config.grid()
-    pcfg = PersistenceConfig(n_max=config.n_max, seed=config.seed,
-                             eps_grid_size=config.eps_grid_size)
     timings: dict = {}
-    results = sweep_levels(grid, _CleanSeries(config), config.noise_levels,
-                           config.embedding(), pcfg, jobs=jobs, timings=timings)
+    results = sweep_levels(grid, config.series_at, config.noise_levels,
+                           config.embedding(), config.persistence(), jobs=jobs, timings=timings)
     t_render = time.perf_counter()
     multi = len(config.noise_levels) > 1
     entries = []
@@ -370,9 +385,15 @@ def read_sweep_csv(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def read_series_csv(path: str) -> TimeSeries:
+    """A t,x CSV whose t rises by one step (to 1e-6 of it) from row to row."""
     t, x = _read_table(path, ("t", "x"), 2).T
-    # dt from the first gap; only the values drive the pipeline downstream
-    return TimeSeries(t0=t[0], dt=t[1] - t[0], values=x)
+    steps = np.diff(t)
+    bad = np.flatnonzero(~((np.abs(steps - steps[0]) <= 1e-6 * steps[0]) & (steps > 0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{path}: row {k + 3}: t steps by {steps[k]!r}; a series must rise "
+                         f"by its first step ({steps[0]!r}, > 0) on every row")
+    return TimeSeries(t0=t[0], dt=steps[0], values=x)
 
 
 def read_cloud_csv(path: str) -> PointCloud:
@@ -511,11 +532,8 @@ def _cmd_persist(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    given = {"out_dir": args.out, "seed": args.seed}
+    config = replace(load_config(args.config), **{k: v for k, v in given.items() if v is not None})
     return run_case(config, jobs=args.jobs)
 
 
@@ -557,13 +575,11 @@ def _cmd_lyapunov(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    mus, hs, l1s = read_sweep_csv(args.sweep)
+    mus, hs, _ = read_sweep_csv(args.sweep)
     lmus, lams = read_lyapunov_csv(args.lyapunov)
     if mus.shape != lmus.shape or not np.allclose(mus, lmus, rtol=0, atol=1e-12):
         raise ValueError("sweep and lyapunov CSVs cover different parameter grids")
-    sweep = functional.SweepResult(params=mus, h_values=hs, betti_l1=l1s,
-                                   delta_h=delta_series(hs), mu_hat=estimate_critical(mus, hs))
-    report = asdict(correlate_sweep(sweep, lams))
+    report = asdict(correlate_sweep(hs, lams))
     if args.out is None:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:

@@ -2,8 +2,8 @@
 
 Three planar/3-D flows that undergo a Hopf-type transition as one control
 parameter sweeps: the supercritical Hopf normal form, the Lorenz system, and
-a reduced two-variable Belousov-Zhabotinsky (chlorite-iodide) model. A scalar
-observable is recorded after a transient is discarded; observational Gaussian
+a reduced two-variable Belousov-Zhabotinsky (chlorite-iodide) model. The first
+coordinate is recorded after a transient is discarded; observational Gaussian
 noise can be added to the recorded series.
 
 Each system is one frozen parameter record that also carries the system's
@@ -187,17 +187,16 @@ def rk4_step_field(field: Callable[[State], State], state: State, dt: float) -> 
 class TrajectoryConfig:
     """Fixed-step integration run description.
 
-    ``n_steps`` RK4 steps of size ``dt`` are taken; the states at steps
-    ``transient_steps .. n_steps-1`` are recorded (pre-step states, so the
-    initial state is included when ``transient_steps`` is 0), and the
-    ``observe_index`` coordinate becomes the scalar series.
+    ``n_steps`` RK4 steps of size ``dt`` are taken from ``initial_state``
+    (``None``: the system's default); the first coordinate of the states at
+    steps ``transient_steps .. n_steps-1`` is recorded (pre-step states, so
+    the initial state is included when ``transient_steps`` is 0).
     """
 
     dt: float = 0.01
     n_steps: int = 20_000
     transient_steps: int = 10_000
     initial_state: Optional[Tuple[float, ...]] = None
-    observe_index: int = 0
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -210,8 +209,6 @@ class TrajectoryConfig:
             )
         if self.n_steps - self.transient_steps < 2:
             raise ValueError("recorded length n_steps - transient_steps must be >= 2")
-        if self.observe_index < 0:
-            raise ValueError("observe_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -253,21 +250,21 @@ class NoiseSpec:
 
 
 def integrate(params: SystemParams, config: TrajectoryConfig) -> TimeSeries:
-    """Integrate the system and record a scalar observable.
+    """Integrate the system and record its first coordinate.
 
     Parameters
     ----------
     params : SystemParams
         System and parameter values.
     config : TrajectoryConfig
-        Step size, lengths, initial state and observed coordinate. A ``None``
-        initial state selects the per-system default.
+        Step size, lengths and initial state. A ``None`` initial state
+        selects the per-system default.
 
     Returns
     -------
     TimeSeries
-        Post-transient samples of the observed coordinate,
-        length ``n_steps - transient_steps``.
+        Post-transient samples of the first coordinate (x for every bundled
+        system), length ``n_steps - transient_steps``.
 
     Raises
     ------
@@ -279,21 +276,16 @@ def integrate(params: SystemParams, config: TrajectoryConfig) -> TimeSeries:
     init = _as_state(params, params.initial_state if init is None else init)
     if not all(math.isfinite(s) for s in init):
         raise ValueError("initial_state must be finite")
-    if config.observe_index >= len(init):
-        raise ValueError(
-            f"observe_index {config.observe_index} out of range for dimension {len(init)}"
-        )
 
     f = params.rhs()
     dt = config.dt
-    obs = config.observe_index
     n_record = config.n_steps - config.transient_steps
     out = np.empty(n_record, dtype=float)
     state = init
     j = 0
     for k in range(config.n_steps):
         if k >= config.transient_steps:
-            out[j] = state[obs]
+            out[j] = state[0]
             j += 1
         state = rk4_step_field(f, state, dt)
         if not all(-_BIG < s < _BIG for s in state):

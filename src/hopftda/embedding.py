@@ -21,6 +21,7 @@ DEFAULT_MAX_LAG = 30
 DEFAULT_R_TOL = 10.0
 DEFAULT_A_TOL = 2.0
 DEFAULT_FNN_THRESHOLD = 0.01
+DEFAULT_M_MAX = 6
 
 # brute-force neighbor searches process the distance matrix in row blocks
 # of this many rows to bound memory at O(block * N)
@@ -39,9 +40,6 @@ class EmbeddingParams:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-
-    def min_length(self) -> int:
-        return (self.m - 1) * self.tau + 1
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class DelaySelection:
 @dataclass(frozen=True)
 class DimensionSelection:
     """Result of select_dimension; converged=False means the FNN fraction
-    never dropped below threshold up to m_max."""
+    never dropped below DEFAULT_FNN_THRESHOLD up to DEFAULT_M_MAX."""
 
     m: int
     converged: bool
@@ -191,21 +189,16 @@ def _nearest_neighbors(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return idx, dist
 
 
-def fnn_fraction(
-    series: TimeSeries,
-    tau: int,
-    m: int,
-    r_tol: float = DEFAULT_R_TOL,
-    a_tol: float = DEFAULT_A_TOL,
-) -> float:
+def fnn_fraction(series: TimeSeries, tau: int, m: int) -> float:
     """Fraction of false nearest neighbors going from dimension m to m+1.
 
     For each point of the m-dimensional embedding (restricted to indices that
     also exist at dimension m+1), the nearest neighbor is found by exact
     brute-force search; the pair is false if the added-coordinate jump exceeds
-    r_tol times the m-dimensional distance, or if the (m+1)-dimensional
-    distance exceeds a_tol times the series standard deviation. Coincident
-    pairs (zero distance and zero jump) count as true neighbors.
+    DEFAULT_R_TOL (10) times the m-dimensional distance, or if the
+    (m+1)-dimensional distance exceeds DEFAULT_A_TOL (2) times the series
+    standard deviation (Kennel et al.'s two tests). Coincident pairs (zero
+    distance and zero jump) count as true neighbors.
     """
     values = series.values
     n_next = values.size - m * tau
@@ -224,27 +217,19 @@ def fnn_fraction(
     # extends the exact 0/0 true-neighbor rule to rounding-level distances,
     # where the ratio of two machine-epsilon quantities carries no signal
     dist_next = np.sqrt(nn_dist**2 + jump**2)
-    false = dist_next > a_tol * sigma
+    false = dist_next > DEFAULT_A_TOL * sigma
     positive = nn_dist > 1e-12 * sigma
-    false[positive] |= jump[positive] > r_tol * nn_dist[positive]
+    false[positive] |= jump[positive] > DEFAULT_R_TOL * nn_dist[positive]
     return float(np.mean(false))
 
 
-def select_dimension(
-    series: TimeSeries,
-    tau: int,
-    m_max: int = 6,
-    threshold: float = DEFAULT_FNN_THRESHOLD,
-    r_tol: float = DEFAULT_R_TOL,
-    a_tol: float = DEFAULT_A_TOL,
-) -> DimensionSelection:
-    """Smallest m with FNN fraction below threshold, scanning m = 1..m_max."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+def select_dimension(series: TimeSeries, tau: int) -> DimensionSelection:
+    """Smallest m whose FNN fraction is below DEFAULT_FNN_THRESHOLD (1%),
+    scanning m = 1..DEFAULT_M_MAX (6); DEFAULT_M_MAX when none is."""
     fractions = []
-    for m in range(1, m_max + 1):
-        frac = fnn_fraction(series, tau, m, r_tol=r_tol, a_tol=a_tol)
+    for m in range(1, DEFAULT_M_MAX + 1):
+        frac = fnn_fraction(series, tau, m)
         fractions.append(frac)
-        if frac < threshold:
+        if frac < DEFAULT_FNN_THRESHOLD:
             return DimensionSelection(m=m, converged=True, fractions=np.array(fractions))
-    return DimensionSelection(m=m_max, converged=False, fractions=np.array(fractions))
+    return DimensionSelection(m=DEFAULT_M_MAX, converged=False, fractions=np.array(fractions))

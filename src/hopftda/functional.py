@@ -28,7 +28,7 @@ from .persistence import (
 
 logger = logging.getLogger(__name__)
 
-# resolution of the Betti-curve sampling grid from 0 to the filtration cap
+# resolution of the Betti-curve sampling grid from 0 to the cloud's diameter
 DEFAULT_EPS_GRID_SIZE = 64
 
 # grid points of one noise level all derive from one base; levels are spaced
@@ -67,15 +67,12 @@ class PersistenceConfig:
     n_max: int = DEFAULT_N_MAX
     seed: int = 0
     eps_grid_size: int = DEFAULT_EPS_GRID_SIZE
-    eps_max: Optional[float] = None
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.eps_grid_size < 2:
             raise ValueError(f"eps_grid_size must be >= 2, got {self.eps_grid_size}")
-        if self.eps_max is not None and self.eps_max <= 0:
-            raise ValueError(f"eps_max must be > 0, got {self.eps_max}")
 
 
 @dataclass(frozen=True)
@@ -83,18 +80,22 @@ class SweepResult:
     """Per-parameter observables of a sweep, failures excluded.
 
     params holds the values that succeeded (ascending); failures pairs each
-    excluded value with the reason. delta_h[i] = |h_values[i+1] - h_values[i]|
-    and mu_hat is always one of params, or None when fewer than 2 values
-    succeeded (only sweep_levels returns such a result; run_sweep raises).
+    excluded value with the reason. mu_hat is always one of params, or None
+    when fewer than 2 values succeeded (only sweep_levels returns such a
+    result; run_sweep raises).
     """
 
     params: np.ndarray
     h_values: np.ndarray
     betti_l1: np.ndarray
-    delta_h: np.ndarray
     mu_hat: Optional[float]
     diagrams: Tuple[PersistenceDiagram, ...] = ()
     failures: Tuple[Tuple[float, str], ...] = ()
+
+    @property
+    def delta_h(self) -> np.ndarray:
+        """|h_values[i+1] - h_values[i]|; empty below 2 values."""
+        return np.abs(np.diff(self.h_values))
 
     @property
     def status(self) -> str:
@@ -177,34 +178,27 @@ def estimate_critical(params: Sequence[float], h_values: Sequence[float]) -> flo
     return float(p[1 + int(np.argmax(deltas))])
 
 
-def _auto_embedding(series: TimeSeries) -> EmbeddingParams:
-    tau = select_delay(series).tau
-    m = select_dimension(series, tau).m
-    return EmbeddingParams(tau=tau, m=m)
-
-
 def sweep_point(
-    mu: float,
-    series_factory: Callable[[float], TimeSeries],
+    series: TimeSeries,
     embedding: Optional[EmbeddingParams],
     config: PersistenceConfig,
     index: int,
 ) -> Tuple[float, float, PersistenceDiagram]:
-    """One grid point of a sweep: (H, betti L1, diagram).
+    """One grid point of a sweep: (H, betti L1, diagram) of the series.
 
-    index offsets the subsampling seed so grid points draw distinct starts.
-    Raises whatever the series factory or the pipeline raises.
+    The filtration runs to the landmarks' diameter, and the Betti curve is
+    sampled on config.eps_grid_size points from 0 to it. index offsets the
+    subsampling seed so grid points draw distinct starts.
     """
-    series = series_factory(float(mu))
-    emb = embedding if embedding is not None else _auto_embedding(series)
-    cloud = delay_embed(series, emb)
+    if embedding is None:  # auto: tau at the first MI minimum, then m by FNN
+        tau = select_delay(series).tau
+        embedding = EmbeddingParams(tau=tau, m=select_dimension(series, tau).m)
+    cloud = delay_embed(series, embedding)
     cloud = maxmin_subsample(cloud, n_max=config.n_max, seed=config.seed + index)
     dist = pairwise_distances(cloud)
-    diagram = rips_persistence(dist, eps_max=config.eps_max)
+    diagram = rips_persistence(dist)
     h = max_persistence(diagram, dim=1)
-    cap = config.eps_max
-    if cap is None:
-        cap = float(dist.entries.max()) if dist.n > 1 else 0.0
+    cap = float(dist.entries.max()) if dist.n > 1 else 0.0
     grid = np.linspace(0.0, cap, config.eps_grid_size)
     l1 = betti_l1(betti_curve(diagram, 1, grid)) if cap > 0 else 0.0
     return h, l1, diagram
@@ -223,23 +217,20 @@ def _attempt(task: tuple) -> Tuple[bool, object]:
         return False, f"{type(exc).__name__}: {exc}"
 
 
-def _noisy_point(mu, clean, noise, embedding, config, index):
+def _noisy_point(clean, noise, embedding, config, index):
     """sweep_point on the clean series with observation noise added."""
-    noisy = add_noise(clean, noise)
-    return sweep_point(mu, lambda _: noisy, embedding, config, index)
+    return sweep_point(add_noise(clean, noise), embedding, config, index)
 
 
 def _level_result(kept: list, failures: list) -> SweepResult:
     """One level's result from its (mu, (H, L1, diagram)) survivors in grid order."""
     mus = np.array([mu for mu, _ in kept])
     h = np.array([pt[0] for _, pt in kept])
-    enough = len(kept) >= 2
     return SweepResult(
         params=mus,
         h_values=h,
         betti_l1=np.array([pt[1] for _, pt in kept]),
-        delta_h=delta_series(h) if enough else np.empty(0),
-        mu_hat=estimate_critical(mus, h) if enough else None,
+        mu_hat=estimate_critical(mus, h) if len(kept) >= 2 else None,
         diagrams=tuple(pt[2] for _, pt in kept),
         failures=tuple(failures),
     )
@@ -283,9 +274,9 @@ def sweep_levels(
         for v, sigma in enumerate(noise_levels):
             base = config.seed + NOISE_SEED_STRIDE * v
             pcfg = replace(config, seed=base)
-            for j, (mu, (ok, series)) in enumerate(zip(grid, clean)):
+            for j, (ok, series) in enumerate(clean):
                 if ok:
-                    tasks.append((_noisy_point, (mu, series, NoiseSpec(sigma, base + j),
+                    tasks.append((_noisy_point, (series, NoiseSpec(sigma, base + j),
                                                  embedding, pcfg, j)))
         outcomes = run(_attempt, tasks)
         results = []

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import stdtr
 
 from .dynsys import _BIG, IntegrationDiverged, SystemParams, rk4_step_field
-from .functional import SweepResult
 
 logger = logging.getLogger(__name__)
 
@@ -181,16 +180,14 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
-def correlate_sweep(sweep: SweepResult, lyap_values: Sequence[float]) -> CorrelationReport:
+def correlate_sweep(h_values: Sequence[float], lyap_values: Sequence[float]) -> CorrelationReport:
     """Correlations between H(mu_j) and lambda1(mu_j) over a shared grid."""
+    h = np.asarray(h_values, dtype=float)
     lam = np.asarray(lyap_values, dtype=float)
-    if lam.shape != sweep.h_values.shape:
-        raise ValueError(
-            f"lyapunov grid has {lam.shape[0] if lam.ndim == 1 else '?'} values, "
-            f"sweep has {sweep.h_values.shape[0]}"
-        )
-    r, rp = pearson(sweep.h_values, lam)
-    rho, rhop = spearman(sweep.h_values, lam)
+    if lam.shape != h.shape:
+        raise ValueError(f"lyapunov grid has {lam.size} values, sweep has {h.size}")
+    r, rp = pearson(h, lam)
+    rho, rhop = spearman(h, lam)
     return CorrelationReport(
         pearson_r=r, pearson_p=rp, spearman_rho=rho, spearman_p=rhop, n=int(lam.shape[0])
     )

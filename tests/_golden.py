@@ -8,9 +8,12 @@ string before hashing.
 
 The digests in GOLDEN were generated by the code before the sweep engine was
 unified, and those in SUBCOMMANDS by the code before the CLI's readers,
-writers and parser were merged; both pin that behaviour: a refactor or speed-up must leave them as
-they are. To change them on purpose, run the failing test, copy the digests
-its assertion message prints into GOLDEN (or SUBCOMMANDS), and say in CHANGES.md why the
+writers and parser were merged; both pin that behaviour: a refactor or
+speed-up must leave them as they are. tiny_auto (auto embedding) was pinned
+before the unread max_lag setting was deleted; only its summary.json digest
+changed then, because the echoed embedding became {"mode": "auto"}. To change
+a digest on purpose, run the failing test, copy the digests its assertion
+message prints into GOLDEN (or SUBCOMMANDS), and say in CHANGES.md why the
 artifacts changed.
 """
 
@@ -91,7 +94,7 @@ GOLDEN = {
         "noise_01/sweep.svg":
             "ce347e56640d527897eef8c6070b6c3cce56fc5cf12cff793555c172d59adea3",
         "summary.json":
-            "9d7df367ff0398db18d2fc0836175a7ed5c2e372279b207bd130751364c470cb",
+            "ce7a1cfeff21b5bc29c78acea02cd40843f38c0afecd4ac0abdb06919fb590e0",
     },
 }
 

@@ -21,13 +21,12 @@ from hopftda.dynsys import (
     HopfParams,
     LorenzParams,
     NoiseSpec,
-    TrajectoryConfig,
     add_noise,
     integrate,
     rk4_step_field,
 )
 from hopftda.embedding import EmbeddingParams, PointCloud, fnn_fraction, mutual_information
-from hopftda.functional import PersistenceConfig, run_sweep
+from hopftda.functional import run_sweep
 from hopftda.lyapunov import LyapunovConfig, largest_lyapunov, pearson, spearman
 from hopftda.persistence import (
     DistanceMatrix,
@@ -70,10 +69,9 @@ def level_arrays(summary, level=0):
 
 
 def series_factory(cfg: ExperimentConfig, sigma_rel=0.0, seed=0):
-    traj = TrajectoryConfig(dt=cfg.dt, n_steps=cfg.n_steps, transient_steps=cfg.transient_steps)
-
     def factory(mu):
-        return add_noise(integrate(cfg.params_at(mu), traj), NoiseSpec(sigma_rel, seed=seed))
+        return add_noise(integrate(cfg.params_at(mu), cfg.trajectory()),
+                         NoiseSpec(sigma_rel, seed=seed))
 
     return factory
 
@@ -139,7 +137,7 @@ def test_case_a_detection(case_a):
     check(fails, below.size > 0 and np.all(below < 0.05),
           f"H up to {below.max():.3g} for mu <= -0.2")
     three = run_sweep([0.25, 0.5, 1.0], series_factory(cfg),
-                      cfg.embedding(), PersistenceConfig(n_max=cfg.n_max, seed=cfg.seed))
+                      cfg.embedding(), cfg.persistence())
     increasing = np.all(np.diff(three.h_values) > 0)
     check(fails, increasing, f"H over {{0.25,0.5,1.0}} = {three.h_values} not increasing")
     check(fails, elapsed < 120.0, f"took {elapsed:.0f}s, budget 120s")
@@ -235,8 +233,7 @@ def test_embedding_sensitivity(case_a):
     factory = series_factory(cfg)
     hats = {}
     for tau, m in [(26, 2), (26, 3), (26, 4), (13, 2), (39, 2)]:
-        res = run_sweep(grid, factory, EmbeddingParams(tau=tau, m=m),
-                        PersistenceConfig(n_max=cfg.n_max, seed=cfg.seed))
+        res = run_sweep(grid, factory, EmbeddingParams(tau=tau, m=m), cfg.persistence())
         hats[(tau, m)] = res.mu_hat
         check(fails, abs(res.mu_hat - 0.0) <= step + 1e-9,
               f"tau={tau} m={m}: mu_hat={res.mu_hat}")

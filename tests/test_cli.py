@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import re
@@ -20,8 +21,10 @@ from hopftda.cli import (
     render_svg,
     run_case,
 )
+from dataclasses import fields
+
 from hopftda.dynsys import NoiseSpec, TrajectoryConfig, add_noise, integrate
-from hopftda.embedding import EmbeddingParams
+from hopftda.embedding import EmbeddingParams, fnn_fraction, select_dimension
 from hopftda.functional import PersistenceConfig, run_sweep
 
 
@@ -84,6 +87,40 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="mode"):
             tiny_config(tmp_path, embedding_mode="manual")
 
+    @pytest.mark.parametrize("section,key", [
+        (None, "n_step"), ("sweep", "cout"), ("embedding", "tau"), ("embedding", "max_lag"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        d = bundled_config("case_a").to_dict()
+        d["embedding"] = {"mode": "auto"}
+        (d if section is None else d[section])[key] = 5
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=f"^unknown config key {re.escape(name)}$"):
+            ExperimentConfig.from_dict(d)
+
+    def test_records_built_at_load(self, tmp_path):
+        with pytest.raises(ValueError, match="tau must be >= 1"):
+            tiny_config(tmp_path, tau=0)
+        d = bundled_config("case_a").to_dict()
+        d["embedding"]["tau"] = 0
+        with pytest.raises(ValueError, match="tau must be >= 1"):
+            ExperimentConfig.from_dict(d)
+        with pytest.raises(ValueError, match="eps_grid_size"):
+            tiny_config(tmp_path, eps_grid_size=1)
+        with pytest.raises(ValueError, match="auto embedding mode"):
+            tiny_config(tmp_path, embedding_mode="auto")
+        cfg = tiny_config(tmp_path, eps_grid_size=32)
+        assert cfg.trajectory() == TrajectoryConfig(dt=0.01, n_steps=3000, transient_steps=1500)
+        assert cfg.embedding() == EmbeddingParams(tau=26, m=2)
+        assert cfg.persistence() == PersistenceConfig(n_max=60, seed=0, eps_grid_size=32)
+
+    def test_auto_round_trip(self, tmp_path):
+        cfg = tiny_config(tmp_path, embedding_mode="auto", tau=None, m=None)
+        d = json.loads(json.dumps(cfg.to_dict()))
+        assert d["embedding"] == {"mode": "auto"}
+        assert ExperimentConfig.from_dict(d) == cfg
+        assert cfg.embedding() is None
+
     def test_grid_endpoints(self, tmp_path):
         g = tiny_config(tmp_path).grid()
         assert g[0] == -1.0 and g[-1] == 1.0 and g.shape == (5,)
@@ -116,12 +153,10 @@ class TestRunCase:
         mus, hs, l1s = read_sweep_csv(out / "sweep.csv")
 
         def factory(mu):
-            traj = TrajectoryConfig(dt=cfg.dt, n_steps=cfg.n_steps,
-                                    transient_steps=cfg.transient_steps)
-            return add_noise(integrate(cfg.params_at(mu), traj), NoiseSpec(0.0, seed=0))
+            return add_noise(integrate(cfg.params_at(mu), cfg.trajectory()),
+                             NoiseSpec(0.0, seed=0))
 
-        res = run_sweep(cfg.grid(), factory, EmbeddingParams(tau=26, m=2),
-                        PersistenceConfig(n_max=cfg.n_max, seed=cfg.seed))
+        res = run_sweep(cfg.grid(), factory, EmbeddingParams(tau=26, m=2), cfg.persistence())
         assert np.array_equal(mus, res.params)
         assert np.array_equal(hs, res.h_values)
         assert np.array_equal(l1s, res.betti_l1)
@@ -318,6 +353,29 @@ ACCEPTED_FLAGS = {
 }
 
 
+# every value a caller can set on the records and selectors of the pipeline
+SETTABLE = {
+    "ExperimentConfig": {"system", "sweep_name", "sweep_min", "sweep_max", "sweep_count",
+                         "fixed", "dt", "n_steps", "transient_steps", "noise_levels",
+                         "embedding_mode", "tau", "m", "n_max", "eps_grid_size", "seed",
+                         "out_dir", "critical_reference"},
+    "PersistenceConfig": {"n_max", "seed", "eps_grid_size"},
+    "TrajectoryConfig": {"dt", "n_steps", "transient_steps", "initial_state"},
+    "select_dimension": set(),
+    "fnn_fraction": set(),
+}
+
+
+def test_every_settable_value_is_listed():
+    got = {cls.__name__: {f.name for f in fields(cls)}
+           for cls in (ExperimentConfig, PersistenceConfig, TrajectoryConfig)}
+    for fn in (select_dimension, fnn_fraction):
+        got[fn.__name__] = {p.name for p in inspect.signature(fn).parameters.values()
+                            if p.default is not p.empty}
+    assert got == SETTABLE
+    assert sum(len(names) for names in got.values()) == 25
+
+
 class TestFlags:
     def test_each_subcommand_accepts_only_the_flags_it_reads(self):
         sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -406,6 +464,14 @@ def test_reader_errors_name_file_and_row(tmp_path, fmt, defect):
     message = message.format(first=header.split(",")[0])
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         reader(str(path))
+
+
+@pytest.mark.parametrize("times,row", [("0.0 0.01 5.0 -7.0", 4), ("0.0 0.0 0.0", 3)])
+def test_series_reader_rejects_uneven_times(tmp_path, times, row):
+    path = tmp_path / "series.csv"
+    path.write_text("t,x\n" + "".join(f"{t},1.0\n" for t in times.split()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row {row}: t steps by")):
+        read_series_csv(str(path))
 
 
 # one run of each single-artifact subcommand on a tiny input, in run order;

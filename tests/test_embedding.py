@@ -219,6 +219,6 @@ def test_select_dimension_hopf_case():
 def test_select_dimension_white_noise_not_converged():
     rng = np.random.default_rng(17)
     series = make_series(rng.standard_normal(3000))
-    sel = select_dimension(series, tau=1, m_max=6)
+    sel = select_dimension(series, tau=1)
     assert not sel.converged
     assert sel.m == 6

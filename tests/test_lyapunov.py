@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from hopftda.dynsys import HopfParams, IntegrationDiverged, LorenzParams
-from hopftda.functional import SweepResult
 from hopftda.lyapunov import (
     CorrelationReport,
     LyapunovConfig,
@@ -15,19 +14,6 @@ from hopftda.lyapunov import (
     pearson,
     spearman,
 )
-
-
-def make_sweep(h_values):
-    h = np.asarray(h_values, dtype=float)
-    params = np.arange(h.shape[0], dtype=float)
-    delta = np.abs(np.diff(h))
-    return SweepResult(
-        params=params,
-        h_values=h,
-        betti_l1=np.zeros_like(h),
-        delta_h=delta,
-        mu_hat=float(params[1 + int(np.argmax(delta))]) if h.shape[0] > 1 else float(params[0]),
-    )
 
 
 class TestPearson:
@@ -186,8 +172,8 @@ class TestLargestLyapunov:
 
 class TestCorrelateSweep:
     def test_perfect_linear_relation(self):
-        sweep = make_sweep([0.0, 0.1, 0.4, 0.9, 1.6])
-        report = correlate_sweep(sweep, 2.0 * sweep.h_values + 1.0)
+        h = np.array([0.0, 0.1, 0.4, 0.9, 1.6])
+        report = correlate_sweep(h, 2.0 * h + 1.0)
         assert isinstance(report, CorrelationReport)
         assert report.pearson_r == pytest.approx(1.0, abs=1e-14)
         assert report.spearman_rho == pytest.approx(1.0, abs=1e-14)
@@ -195,6 +181,5 @@ class TestCorrelateSweep:
         assert report.p_method == "student-t"
 
     def test_grid_mismatch_rejected(self):
-        sweep = make_sweep([0.0, 0.1, 0.4])
-        with pytest.raises(ValueError, match="sweep has"):
-            correlate_sweep(sweep, [1.0, 2.0])
+        with pytest.raises(ValueError, match="lyapunov grid has 2 values, sweep has 3"):
+            correlate_sweep([0.0, 0.1, 0.4], [1.0, 2.0])
