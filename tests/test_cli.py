@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from hopftda.cli import (
     render_svg,
     run_case,
 )
-from dataclasses import fields
-
 from hopftda.dynsys import NoiseSpec, TrajectoryConfig, add_noise, integrate
 from hopftda.embedding import EmbeddingParams, fnn_fraction, select_dimension
 from hopftda.functional import PersistenceConfig, run_sweep
