@@ -141,8 +141,8 @@ def test_integrate_divergence_reports_step():
             LorenzParams(10.0, 28.0, 8.0 / 3.0),
             TrajectoryConfig(dt=1.0, n_steps=100, transient_steps=0),
         )
-    assert "step" in str(err.value)
-    assert 0 <= err.value.step < 100
+    assert str(err.value) == "state became non-finite (step 1)"
+    assert err.value.step == 1
 
 
 def test_trajectory_config_validation():

@@ -148,8 +148,11 @@ class TestLargestLyapunov:
 
     def test_divergence_raises(self):
         cfg = LyapunovConfig(dt=10.0, n_steps=2_000, transient_steps=100)
-        with pytest.raises(IntegrationDiverged):
+        with pytest.raises(IntegrationDiverged) as err:
             largest_lyapunov(LorenzParams(rho=28.0), cfg)
+        # the transient (100 steps) ends before the first periodic check
+        assert str(err.value) == "state left the finite box (step 100)"
+        assert err.value.step == 100
 
     def test_zero_separation_reseeds(self, caplog):
         # d0 below one ulp of the state makes y == x exactly at every renorm
