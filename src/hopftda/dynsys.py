@@ -7,9 +7,11 @@ coordinate is recorded after a transient is discarded; observational Gaussian
 noise can be added to the recorded series.
 
 Each system is one frozen parameter record that also carries the system's
-name, its right-hand side (rhs, a closure over the parameters on float
-tuples), its default initial state, the name of the parameter swept across
-the transition and that parameter's critical value.
+name, its right-hand side (rhs, a closure over the parameters that takes the
+coordinates as separate floats), its default initial state, the name of the
+parameter swept across the transition and that parameter's critical value.
+``rk4_stepper`` turns an rhs into one unrolled RK4 step on those coordinates;
+``integrate`` and ``lyapunov.largest_lyapunov`` both step with it.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ class HopfParams:
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
-    def rhs(self) -> Callable[[State], State]:
+    def rhs(self) -> Callable[..., State]:
         mu, omega = self.mu, self.omega
 
-        def f(state):
-            x, y = state
+        def f(x, y):
             r2 = x * x + y * y
             return (mu * x - omega * y - x * r2, omega * x + mu * y - y * r2)
 
@@ -103,11 +104,10 @@ class LorenzParams:
 
     critical = rho_critical
 
-    def rhs(self) -> Callable[[State], State]:
+    def rhs(self) -> Callable[..., State]:
         sigma, rho, beta = self.sigma, self.rho, self.beta
 
-        def f(state):
-            x, y, z = state
+        def f(x, y, z):
             return (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
 
         return f
@@ -142,11 +142,10 @@ class BzParams:
 
     critical = b_critical
 
-    def rhs(self) -> Callable[[State], State]:
+    def rhs(self) -> Callable[..., State]:
         a, b = self.a, self.b
 
-        def f(state):
-            x, y = state
+        def f(x, y):
             q = 1.0 + x * x
             return (a - x - 4.0 * x * y / q, b * x * (1.0 - y / q))
 
@@ -169,18 +168,45 @@ def _as_state(params: SystemParams, state: Sequence[float]) -> State:
     return state
 
 
-def rk4_step_field(field: Callable[[State], State], state: State, dt: float) -> State:
-    """One classical RK4 step of an arbitrary autonomous field on float tuples."""
-    k1 = field(state)
+def rk4_stepper(field: Callable[..., State], dim: int, dt: float) -> Callable[..., State]:
+    """One classical RK4 step of size ``dt`` for an autonomous field in ``dim``
+    coordinates (2 or 3): ``step(*coords)`` returns the next coordinates.
+
+    ``field(*coords)`` returns the derivatives as a tuple. The stages are
+    written out per coordinate, so a step builds no intermediate sequences;
+    every coordinate sees the same operations in the same order as the
+    textbook form ``s + sixth * (k1 + 2 * (k2 + k3) + k4)``.
+    """
     half = 0.5 * dt
-    k2 = field(tuple(s + half * k for s, k in zip(state, k1)))
-    k3 = field(tuple(s + half * k for s, k in zip(state, k2)))
-    k4 = field(tuple(s + dt * k for s, k in zip(state, k3)))
     sixth = dt / 6.0
-    return tuple(
-        s + sixth * (a + 2.0 * (b + c) + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
+    if dim == 2:
+
+        def step(x, y):
+            ax, ay = field(x, y)
+            bx, by = field(x + half * ax, y + half * ay)
+            cx, cy = field(x + half * bx, y + half * by)
+            dx, dy = field(x + dt * cx, y + dt * cy)
+            return (
+                x + sixth * (ax + 2.0 * (bx + cx) + dx),
+                y + sixth * (ay + 2.0 * (by + cy) + dy),
+            )
+
+    elif dim == 3:
+
+        def step(x, y, z):
+            ax, ay, az = field(x, y, z)
+            bx, by, bz = field(x + half * ax, y + half * ay, z + half * az)
+            cx, cy, cz = field(x + half * bx, y + half * by, z + half * bz)
+            dx, dy, dz = field(x + dt * cx, y + dt * cy, z + dt * cz)
+            return (
+                x + sixth * (ax + 2.0 * (bx + cx) + dx),
+                y + sixth * (ay + 2.0 * (by + cy) + dy),
+                z + sixth * (az + 2.0 * (bz + cz) + dz),
+            )
+
+    else:
+        raise ValueError(f"rk4_stepper supports 2 or 3 coordinates, got {dim}")
+    return step
 
 
 @dataclass(frozen=True)
@@ -277,20 +303,22 @@ def integrate(params: SystemParams, config: TrajectoryConfig) -> TimeSeries:
     if not all(math.isfinite(s) for s in init):
         raise ValueError("initial_state must be finite")
 
-    f = params.rhs()
-    dt = config.dt
-    n_record = config.n_steps - config.transient_steps
-    out = np.empty(n_record, dtype=float)
+    dt, transient = config.dt, config.transient_steps
+    step = rk4_stepper(params.rhs(), len(init), dt)
     state = init
-    j = 0
-    for k in range(config.n_steps):
-        if k >= config.transient_steps:
-            out[j] = state[0]
-            j += 1
-        state = rk4_step_field(f, state, dt)
-        if not all(-_BIG < s < _BIG for s in state):
-            raise IntegrationDiverged("state became non-finite", step=k)
-    return TimeSeries(t0=config.transient_steps * dt, dt=dt, values=out)
+    for k in range(transient):
+        state = step(*state)
+        for s in state:
+            if not -_BIG < s < _BIG:
+                raise IntegrationDiverged("state became non-finite", step=k)
+    out = np.empty(config.n_steps - transient, dtype=float)
+    for j in range(out.size):
+        out[j] = state[0]
+        state = step(*state)
+        for s in state:
+            if not -_BIG < s < _BIG:
+                raise IntegrationDiverged("state became non-finite", step=transient + j)
+    return TimeSeries(t0=transient * dt, dt=dt, values=out)
 
 
 def add_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:

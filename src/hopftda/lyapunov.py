@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.special import stdtr
 
-from .dynsys import _BIG, IntegrationDiverged, SystemParams, rk4_step_field
+from .dynsys import _BIG, IntegrationDiverged, SystemParams, rk4_stepper
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +85,11 @@ def largest_lyapunov(params: SystemParams, config: LyapunovConfig = LyapunovConf
         n_steps *= 2
         transient *= 2
 
-    field = params.rhs()
     dt = config.dt
     x = params.initial_state
+    advance = rk4_stepper(params.rhs(), len(x), dt)
     for step in range(transient):
-        x = rk4_step_field(field, x, dt)
+        x = advance(*x)
         if step % 1000 == 999 and not all(-_BIG < s < _BIG for s in x):
             raise IntegrationDiverged("state left the finite box", step=step)
     if not all(-_BIG < s < _BIG for s in x):
@@ -105,8 +105,8 @@ def largest_lyapunov(params: SystemParams, config: LyapunovConfig = LyapunovConf
     while done < remaining:
         block = min(config.renorm_interval, remaining - done)
         for _ in range(block):
-            x = rk4_step_field(field, x, dt)
-            y = rk4_step_field(field, y, dt)
+            x = advance(*x)
+            y = advance(*y)
         done += block
         if not all(-_BIG < s < _BIG for s in x) or not all(-_BIG < s < _BIG for s in y):
             raise IntegrationDiverged("state left the finite box", step=transient + done)

@@ -1,8 +1,12 @@
-"""Reference implementations shared by the persistence test suites.
+"""Reference implementations shared by the test suites.
 
 The Rips oracle is deliberately naive: build every simplex up to dimension 2,
 sort by (value, dim, vertex tuple), reduce the dense boundary matrix left to
 right with no shortcuts, and read pairs off the pivots.
+
+The RK4 oracle is the generic tuple form of the step, over fields that take
+and return the whole state as a tuple; ``tuple_rhs`` gives each bundled
+system's equations in that form, written apart from ``hopftda.dynsys``.
 """
 
 import itertools
@@ -70,3 +74,45 @@ def random_cloud(rng, n, m=2):
     if n >= 2 and rng.random() < 0.3:
         points[rng.integers(n)] = points[rng.integers(n)]  # duplicate stress
     return PointCloud(points=points)
+
+
+def rk4_step_field(field, state, dt):
+    """One classical RK4 step of an arbitrary autonomous field on float tuples."""
+    k1 = field(state)
+    half = 0.5 * dt
+    k2 = field(tuple(s + half * k for s, k in zip(state, k1)))
+    k3 = field(tuple(s + half * k for s, k in zip(state, k2)))
+    k4 = field(tuple(s + dt * k for s, k in zip(state, k3)))
+    sixth = dt / 6.0
+    return tuple(
+        s + sixth * (a + 2.0 * (b + c) + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
+
+
+def tuple_rhs(params):
+    """A bundled system's right-hand side as a tuple-to-tuple field."""
+    if params.name == "hopf":
+        mu, omega = params.mu, params.omega
+
+        def f(state):
+            x, y = state
+            r2 = x * x + y * y
+            return (mu * x - omega * y - x * r2, omega * x + mu * y - y * r2)
+
+    elif params.name == "lorenz":
+        sigma, rho, beta = params.sigma, params.rho, params.beta
+
+        def f(state):
+            x, y, z = state
+            return (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
+
+    else:
+        a, b = params.a, params.b
+
+        def f(state):
+            x, y = state
+            q = 1.0 + x * x
+            return (a - x - 4.0 * x * y / q, b * x * (1.0 - y / q))
+
+    return f

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import rk4_step_field, tuple_rhs
 from hopftda.dynsys import (
     SYSTEMS,
     BzParams,
@@ -16,7 +17,7 @@ from hopftda.dynsys import (
     TrajectoryConfig,
     add_noise,
     integrate,
-    rk4_step_field,
+    rk4_stepper,
 )
 
 # One RK4 step of x' = x from x=1 with dt=0.1, expanded by hand:
@@ -26,16 +27,16 @@ EXP_01 = 1.1051709180756477
 
 
 def test_vector_field_hopf_origin_equilibrium():
-    assert HopfParams(mu=0.0, omega=1.0).rhs()((0.0, 0.0)) == (0.0, 0.0)
+    assert HopfParams(mu=0.0, omega=1.0).rhs()(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_vector_field_lorenz_substitution():
-    out = LorenzParams(10.0, 28.0, 8.0 / 3.0).rhs()((1.0, 1.0, 1.0))
+    out = LorenzParams(10.0, 28.0, 8.0 / 3.0).rhs()(1.0, 1.0, 1.0)
     assert out == (0.0, 26.0, 1.0 - 8.0 / 3.0)
 
 
 def test_vector_field_bz_substitution():
-    assert BzParams(a=10.0, b=3.0).rhs()((1.0, 1.0)) == (7.0, 1.5)
+    assert BzParams(a=10.0, b=3.0).rhs()(1.0, 1.0) == (7.0, 1.5)
 
 
 def test_vector_field_rejects_dimension_mismatch():
@@ -72,19 +73,22 @@ def test_param_validation():
 
 
 def test_rk4_scalar_exponential_one_step():
-    (y1,) = rk4_step_field(lambda s: (s[0],), (1.0,), 0.1)
+    # x' = x as two decoupled coordinates
+    y1, y2 = rk4_stepper(lambda x, y: (x, y), 2, 0.1)(1.0, 1.0)
+    assert y1 == y2
     assert y1 == pytest.approx(RK4_EXP_ONE_STEP, abs=1e-15)
     assert abs(y1 - EXP_01) < 1e-7
 
 
 def test_rk4_fixed_point_invariance():
-    assert rk4_step_field(HopfParams(mu=0.5).rhs(), (0.0, 0.0), 0.05) == (0.0, 0.0)
+    assert rk4_stepper(HopfParams(mu=0.5).rhs(), 2, 0.05)(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_rk4_step_halving_oracle_lorenz():
     f = LorenzParams(10.0, 28.0, 8.0 / 3.0).rhs()
-    full = rk4_step_field(f, (1.0, 1.0, 1.0), 0.01)
-    half = rk4_step_field(f, rk4_step_field(f, (1.0, 1.0, 1.0), 0.005), 0.005)
+    full = rk4_stepper(f, 3, 0.01)(1.0, 1.0, 1.0)
+    half_step = rk4_stepper(f, 3, 0.005)
+    half = half_step(*half_step(1.0, 1.0, 1.0))
     # local truncation mismatch ~ C*dt^5 with C ~ 1e4 for these derivatives
     assert np.max(np.abs(np.subtract(full, half))) < 1e-5
 
@@ -92,13 +96,48 @@ def test_rk4_step_halving_oracle_lorenz():
 def test_rk4_global_order_ratio():
     # global error on x' = x over [0,1] should shrink ~16x per halving
     def run(dt):
-        y = (1.0,)
+        step = rk4_stepper(lambda x, y: (x, y), 2, dt)
+        y = (1.0, 1.0)
         for _ in range(round(1.0 / dt)):
-            y = rk4_step_field(lambda s: (s[0],), y, dt)
+            y = step(*y)
+        assert y[0] == y[1]
         return abs(y[0] - math.e)
 
     ratio = run(0.1) / run(0.05)
     assert 12.0 <= ratio <= 20.0
+
+
+def _random_system(rng, name):
+    if name == "hopf":
+        params = HopfParams(mu=rng.uniform(-1.0, 1.0), omega=rng.uniform(0.5, 2.0))
+        return params, tuple(rng.uniform(-1.5, 1.5, 2))
+    if name == "lorenz":
+        params = LorenzParams(sigma=rng.uniform(5.0, 15.0), rho=rng.uniform(0.0, 40.0),
+                              beta=rng.uniform(1.0, 4.0))
+        return params, tuple(rng.uniform(-20.0, 20.0, 3))
+    params = BzParams(a=rng.uniform(5.0, 15.0), b=rng.uniform(1.0, 6.0))
+    return params, tuple(rng.uniform(0.1, 5.0, 2))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_rk4_stepper_bit_identical_to_tuple_oracle(name):
+    rng = np.random.default_rng(20261020)
+    for _ in range(5):
+        params, state = _random_system(rng, name)
+        dt = rng.uniform(0.001, 0.02)
+        step = rk4_stepper(params.rhs(), len(state), dt)
+        field = tuple_rhs(params)
+        expected = state
+        for _ in range(1000):
+            state = step(*state)
+            expected = rk4_step_field(field, expected, dt)
+            assert state == expected
+        assert all(math.isfinite(s) for s in state)
+
+
+def test_rk4_stepper_rejects_other_dimensions():
+    with pytest.raises(ValueError, match="2 or 3"):
+        rk4_stepper(lambda x: (x,), 1, 0.1)
 
 
 def test_integrate_decay_to_origin():
