@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import logging
+import numbers
 import os
 import sys
 import time
@@ -81,6 +82,24 @@ _SCALARS = {"dt": float, "n_steps": int, "transient_steps": int, "n_max": int,
 _CONFIG_KEYS = ("system", "fixed", "sweep", "noise_levels", "embedding", *_SCALARS)
 _SWEEP_KEYS = ("name", "min", "max", "count")
 _EMBEDDING_KEYS = {"fixed": ("mode", "tau", "m"), "auto": ("mode",)}
+
+
+def _object(value, name: str) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _integer(value, key: str) -> int:
+    """An integer setting: an int or an integral float, never a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(
+            f"config key {key} must be an integer, got {json.dumps(value, default=repr)}"
+        )
+    return int(value)
 
 
 def _reject_unknown(section: dict, known: Sequence[str], prefix: str = "") -> None:
@@ -202,10 +221,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config of a to_dict-shaped dict; an unknown key is an error."""
-        _reject_unknown(d, _CONFIG_KEYS)
+        _reject_unknown(_object(d, "config"), _CONFIG_KEYS)
         try:
-            sweep = d["sweep"]
-            emb = d.get("embedding", {"mode": "auto"})
+            sweep = _object(d["sweep"], "config key sweep")
+            emb = _object(d.get("embedding", {"mode": "auto"}), "config key embedding")
+            fixed = _object(d.get("fixed", {}), "config key fixed")
             _reject_unknown(sweep, _SWEEP_KEYS, "sweep.")
             # an unknown mode is left for __post_init__ to name
             known = _EMBEDDING_KEYS.get(emb.get("mode", "fixed"), _EMBEDDING_KEYS["fixed"])
@@ -215,19 +235,19 @@ class ExperimentConfig:
                 sweep_name=sweep["name"],
                 sweep_min=float(sweep["min"]),
                 sweep_max=float(sweep["max"]),
-                sweep_count=int(sweep["count"]),
-                fixed=tuple(sorted((k, float(v)) for k, v in d.get("fixed", {}).items())),
+                sweep_count=_integer(sweep["count"], "sweep.count"),
+                fixed=tuple(sorted((k, float(v)) for k, v in fixed.items())),
                 noise_levels=tuple(float(s) for s in d.get("noise_levels", [0.0])),
                 embedding_mode=emb.get("mode", "fixed"),
             )
             if kwargs["embedding_mode"] == "fixed":
-                kwargs["tau"] = int(emb["tau"])
-                kwargs["m"] = int(emb["m"])
+                kwargs["tau"] = _integer(emb["tau"], "embedding.tau")
+                kwargs["m"] = _integer(emb["m"], "embedding.m")
         except KeyError as exc:
             raise ValueError(f"config is missing required key {exc}") from None
         for key, kind in _SCALARS.items():
             if d.get(key) is not None:
-                kwargs[key] = kind(d[key])
+                kwargs[key] = _integer(d[key], key) if kind is int else kind(d[key])
         return cls(**kwargs)
 
 

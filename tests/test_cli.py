@@ -97,6 +97,50 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^unknown config key {re.escape(name)}$"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("section,value", [
+        ("embedding", None), ("sweep", [1, 2]), ("fixed", 3),
+    ])
+    def test_section_must_be_an_object(self, tmp_path, capsys, section, value):
+        d = bundled_config("case_a").to_dict()
+        d[section] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {section} must be a JSON object, got {json.dumps(value)}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("sweep.count", 21.7), ("sweep.count", True), ("n_steps", 20000.5),
+        ("transient_steps", False), ("embedding.tau", 26.5), ("embedding.m", "2"),
+        ("n_max", 200.1), ("eps_grid_size", 1e400), ("seed", True), ("seed", 0.5),
+    ])
+    def test_integer_keys_must_be_integral(self, key, value):
+        d = bundled_config("case_a").to_dict()
+        *section, name = key.split(".")
+        (d[section[0]] if section else d)[name] = value
+        shown = json.dumps(value)
+        with pytest.raises(ValueError, match=f"^config key {re.escape(key)} must be an integer, "
+                                             f"got {re.escape(shown)}$"):
+            ExperimentConfig.from_dict(d)
+
+    def test_integral_float_loads_as_int(self):
+        d = bundled_config("case_a").to_dict()
+        d["sweep"]["count"], d["seed"] = 21.0, 3.0
+        cfg = ExperimentConfig.from_dict(d)
+        assert (cfg.sweep_count, cfg.seed) == (21, 3)
+        assert type(cfg.sweep_count) is int and type(cfg.seed) is int
+
+    def test_non_integral_count_rejected_by_cli(self, tmp_path, capsys):
+        d = bundled_config("case_a").to_dict()
+        d["sweep"]["count"] = 21.7
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config key sweep.count must be an integer, got 21.7\n"
+
     def test_records_built_at_load(self, tmp_path):
         with pytest.raises(ValueError, match="tau must be >= 1"):
             tiny_config(tmp_path, tau=0)
