@@ -108,15 +108,18 @@ def test_rk4_global_order_ratio():
 
 
 def _random_system(rng, name):
+    """Parameters and a starting state near the attractor, as Python floats."""
+    def u(lo, hi, n=1):
+        return rng.uniform(lo, hi, n).tolist()
+
     if name == "hopf":
-        params = HopfParams(mu=rng.uniform(-1.0, 1.0), omega=rng.uniform(0.5, 2.0))
-        return params, tuple(rng.uniform(-1.5, 1.5, 2))
+        (mu,), (omega,) = u(-1.0, 1.0), u(0.5, 2.0)
+        return HopfParams(mu=mu, omega=omega), tuple(u(-1.5, 1.5, 2))
     if name == "lorenz":
-        params = LorenzParams(sigma=rng.uniform(5.0, 15.0), rho=rng.uniform(0.0, 40.0),
-                              beta=rng.uniform(1.0, 4.0))
-        return params, tuple(rng.uniform(-20.0, 20.0, 3))
-    params = BzParams(a=rng.uniform(5.0, 15.0), b=rng.uniform(1.0, 6.0))
-    return params, tuple(rng.uniform(0.1, 5.0, 2))
+        sigma, rho, beta = u(5.0, 15.0) + u(0.0, 40.0) + u(1.0, 4.0)
+        return LorenzParams(sigma=sigma, rho=rho, beta=beta), tuple(u(-20.0, 20.0, 3))
+    (a,), (b,) = u(5.0, 15.0), u(1.0, 6.0)
+    return BzParams(a=a, b=b), tuple(u(0.1, 5.0, 2))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -124,7 +127,7 @@ def test_rk4_stepper_bit_identical_to_tuple_oracle(name):
     rng = np.random.default_rng(20261020)
     for _ in range(5):
         params, state = _random_system(rng, name)
-        dt = rng.uniform(0.001, 0.02)
+        dt = float(rng.uniform(0.001, 0.02))
         step = rk4_stepper(params.rhs(), len(state), dt)
         field = tuple_rhs(params)
         expected = state
