@@ -75,15 +75,6 @@ def _fmt(x: float) -> str:
 # experiment configuration
 
 
-# the optional scalars of a config file by type; absent or null keeps the default
-_SCALARS = {"dt": float, "n_steps": int, "transient_steps": int, "n_max": int,
-            "eps_grid_size": int, "seed": int, "out_dir": str, "critical_reference": float}
-# the keys from_dict reads, per section; the embedding's depend on its mode
-_CONFIG_KEYS = ("system", "fixed", "sweep", "noise_levels", "embedding", *_SCALARS)
-_SWEEP_KEYS = ("name", "min", "max", "count")
-_EMBEDDING_KEYS = {"fixed": ("mode", "tau", "m"), "auto": ("mode",)}
-
-
 def _object(value, name: str) -> dict:
     """A config section, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -100,6 +91,35 @@ def _integer(value, key: str) -> int:
             f"config key {key} must be an integer, got {json.dumps(value, default=repr)}"
         )
     return int(value)
+
+
+def _number(value, key: str) -> float:
+    """A real setting: an int or a float, never a boolean, string or list."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(
+            f"config key {key} must be a number, got {json.dumps(value, default=repr)}"
+        )
+    return float(value)
+
+
+def _text(value, key: str) -> str:
+    """A string setting."""
+    if not isinstance(value, str):
+        raise ValueError(
+            f"config key {key} must be a string, got {json.dumps(value, default=repr)}"
+        )
+    return value
+
+
+# the optional scalars of a config file and their checked conversions; absent
+# or null keeps the default
+_SCALARS = {"dt": _number, "n_steps": _integer, "transient_steps": _integer,
+            "n_max": _integer, "eps_grid_size": _integer, "seed": _integer,
+            "out_dir": _text, "critical_reference": _number}
+# the keys from_dict reads, per section; the embedding's depend on its mode
+_CONFIG_KEYS = ("system", "fixed", "sweep", "noise_levels", "embedding", *_SCALARS)
+_SWEEP_KEYS = ("name", "min", "max", "count")
+_EMBEDDING_KEYS = {"fixed": ("mode", "tau", "m"), "auto": ("mode",)}
 
 
 def _reject_unknown(section: dict, known: Sequence[str], prefix: str = "") -> None:
@@ -230,14 +250,18 @@ class ExperimentConfig:
             # an unknown mode is left for __post_init__ to name
             known = _EMBEDDING_KEYS.get(emb.get("mode", "fixed"), _EMBEDDING_KEYS["fixed"])
             _reject_unknown(emb, known, "embedding.")
+            levels = d.get("noise_levels", [0.0])
+            if not isinstance(levels, list):
+                raise ValueError(f"config key noise_levels must be a list, "
+                                 f"got {json.dumps(levels, default=repr)}")
             kwargs = dict(
                 system=d["system"],
                 sweep_name=sweep["name"],
-                sweep_min=float(sweep["min"]),
-                sweep_max=float(sweep["max"]),
+                sweep_min=_number(sweep["min"], "sweep.min"),
+                sweep_max=_number(sweep["max"], "sweep.max"),
                 sweep_count=_integer(sweep["count"], "sweep.count"),
-                fixed=tuple(sorted((k, float(v)) for k, v in fixed.items())),
-                noise_levels=tuple(float(s) for s in d.get("noise_levels", [0.0])),
+                fixed=tuple(sorted((k, _number(v, f"fixed.{k}")) for k, v in fixed.items())),
+                noise_levels=tuple(_number(s, f"noise_levels[{i}]") for i, s in enumerate(levels)),
                 embedding_mode=emb.get("mode", "fixed"),
             )
             if kwargs["embedding_mode"] == "fixed":
@@ -245,9 +269,9 @@ class ExperimentConfig:
                 kwargs["m"] = _integer(emb["m"], "embedding.m")
         except KeyError as exc:
             raise ValueError(f"config is missing required key {exc}") from None
-        for key, kind in _SCALARS.items():
+        for key, convert in _SCALARS.items():
             if d.get(key) is not None:
-                kwargs[key] = _integer(d[key], key) if kind is int else kind(d[key])
+                kwargs[key] = convert(d[key], key)
         return cls(**kwargs)
 
 

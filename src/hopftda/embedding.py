@@ -23,9 +23,11 @@ DEFAULT_A_TOL = 2.0
 DEFAULT_FNN_THRESHOLD = 0.01
 DEFAULT_M_MAX = 6
 
-# brute-force neighbor searches process the distance matrix in row blocks
-# of this many rows to bound memory at O(block * N)
-_NN_BLOCK_ROWS = 256
+# the neighbor sweep compares about this many (point, candidate) pairs at a
+# time, and at least one per point, bounding its temporaries at about
+# max(_NN_PAIRS, N) * m doubles
+_NN_PAIRS = 1 << 16
+_NO_INDEX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -165,27 +167,97 @@ def select_delay(
     return DelaySelection(tau=int(np.argmin(mi)) + 1, local_minimum=False, mi_bits=mi)
 
 
-def _nearest_neighbors(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact nearest neighbor (excluding self) per point, brute force in blocks.
+def _sweep(rows: np.ndarray, labels: np.ndarray, best_d2: np.ndarray,
+           best_idx: np.ndarray, step: int) -> None:
+    """One direction (step +1 or -1) of the neighbor sweep, in place.
 
-    Ties resolve to the smallest index. Returns (indices, distances).
+    rows holds u distinct points sorted by coordinate 0 between u rows of +inf
+    on each side, labels their original indices (_NO_INDEX on the padding),
+    so a candidate past either end is at distance inf and never wins.
+    Position p compares with p + step * k for blocks of offsets k that double
+    in width, and improves (best_d2[p], best_idx[p]) on a smaller squared
+    distance or an equal one with a smaller label.
+
+    A position stops once no later candidate can improve it. That is exact:
+    a candidate's squared distance is a rounded sum of nonnegative rounded
+    squares, so it is at least its coordinate-0 term, and that term does not
+    shrink as k grows. With best_d2[p] == 0 only a smaller label can improve, so p also
+    stops once no label ahead is smaller.
+    """
+    u = best_d2.shape[0]
+    x0 = rows[u:2 * u, 0]
+    ahead_min = np.minimum.accumulate(labels[u:2 * u][::-step])[::-step]
+    active = np.arange(u)
+    offset, width = 1, 1
+    while True:
+        ahead = active + step * offset
+        inside = (ahead >= 0) & (ahead < u)
+        active, ahead = active[inside], ahead[inside]
+        gap = x0[ahead] - x0[active]
+        bound = best_d2[active]
+        active = active[(gap * gap <= bound)
+                        & ((bound > 0) | (ahead_min[ahead] < best_idx[active]))]
+        if not active.size:
+            return
+        width = max(1, min(2 * width, _NN_PAIRS // active.size, u))
+        cand = (active + u)[:, None] + step * np.arange(offset, offset + width)
+        # explicit differences, not the expanded x^2 - 2xy + y^2 form, which
+        # cancels to noise at tiny distances
+        diff = rows.take(active + u, axis=0)[:, None, :] - rows.take(cand, axis=0)
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        block_d2 = d2.min(axis=1)
+        block_idx = np.where(d2 == block_d2[:, None], labels.take(cand), _NO_INDEX).min(axis=1)
+        cur_d2, cur_idx = best_d2[active], best_idx[active]
+        better = (block_d2 < cur_d2) | ((block_d2 == cur_d2) & (block_idx < cur_idx))
+        best_d2[active[better]] = block_d2[better]
+        best_idx[active[better]] = block_idx[better]
+        offset += width
+
+
+def _nearest_neighbors(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact nearest neighbor of each point among the others, by a sorted sweep.
+
+    A squared distance is the einsum of the explicit coordinate differences,
+    the expression of a brute-force scan, so indices and distances are the
+    brute force's bit for bit. Ties resolve to the smallest index; a point is
+    never its own neighbor, even when every squared distance overflows. Needs
+    at least two points. Returns (indices, distances).
+
+    Identical rows are merged first. A repeated row's neighbor is its
+    smallest other copy, or a smaller index in another row at squared
+    distance 0. The distinct rows, sorted by coordinate 0, are then swept
+    forward and backward; each direction prunes on its own (see _sweep),
+    since a pair one endpoint no longer needs may be the other's neighbor.
     """
     n, m = points.shape
+    # identical rows end up adjacent, in ascending index order
+    order = np.lexsort(points.T[::-1])
+    srt = points[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    u = starts.size
+    repeated = np.diff(np.append(starts, n)) > 1
+    first = order[starts]
+    best_d2 = np.where(repeated, 0.0, np.inf)
+    best_idx = np.full(u, _NO_INDEX)
+    pad = np.full((u, m), np.inf)
+    rows = np.concatenate([pad, srt[starts], pad])
+    labels = np.concatenate([np.full(u, _NO_INDEX), first, np.full(u, _NO_INDEX)])
+    with np.errstate(over="ignore"):
+        for step in (1, -1):
+            _sweep(rows, labels, best_d2, best_idx, step)
+
+    # a repeated row's nearest copy is its group's first index, or the second
+    # for the first itself
+    group = np.cumsum(new) - 1
+    second = order[np.minimum(starts + 1, n - 1)]
+    own = np.where(order == first[group], second[group], first[group])
+    nearest = np.where(repeated[group], np.minimum(own, best_idx[group]), best_idx[group])
     idx = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=float)
-    # explicit differences keep tiny distances exact where the expanded
-    # x^2 - 2xy + y^2 form cancels to noise; shrink blocks to bound the
-    # (rows, n, m) temporary at roughly _NN_BLOCK_ROWS * n doubles
-    rows_per_block = max(1, _NN_BLOCK_ROWS // m)
-    for start in range(0, n, rows_per_block):
-        stop = min(start + rows_per_block, n)
-        diff = points[start:stop, None, :] - points[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        nearest = np.argmin(d2, axis=1)
-        idx[start:stop] = nearest
-        dist[start:stop] = np.sqrt(d2[rows - start, nearest])
+    idx[order] = nearest
+    dist[order] = np.sqrt(best_d2[group])
     return idx, dist
 
 
@@ -193,12 +265,12 @@ def fnn_fraction(series: TimeSeries, tau: int, m: int) -> float:
     """Fraction of false nearest neighbors going from dimension m to m+1.
 
     For each point of the m-dimensional embedding (restricted to indices that
-    also exist at dimension m+1), the nearest neighbor is found by exact
-    brute-force search; the pair is false if the added-coordinate jump exceeds
-    DEFAULT_R_TOL (10) times the m-dimensional distance, or if the
-    (m+1)-dimensional distance exceeds DEFAULT_A_TOL (2) times the series
-    standard deviation (Kennel et al.'s two tests). Coincident pairs (zero
-    distance and zero jump) count as true neighbors.
+    also exist at dimension m+1), the nearest neighbor is found by an exact
+    sorted sweep (_nearest_neighbors); the pair is false if the
+    added-coordinate jump exceeds DEFAULT_R_TOL (10) times the m-dimensional
+    distance, or if the (m+1)-dimensional distance exceeds DEFAULT_A_TOL (2)
+    times the series standard deviation (Kennel et al.'s two tests).
+    Coincident pairs (zero distance and zero jump) count as true neighbors.
     """
     values = series.values
     n_next = values.size - m * tau

@@ -151,6 +151,10 @@ def maxmin_subsample(cloud: PointCloud, n_max: int = DEFAULT_N_MAX, seed: int = 
     are distinct. A repeated point adds only zero-length pairs, which
     diagrams omit, so stopping there leaves the diagram unchanged. Returns
     the input unchanged when it is already small enough.
+
+    Each landmark costs one pass over contiguous coordinate columns into two
+    reused buffers: the squared differences are summed in coordinate order,
+    then the root is taken and folded into the running minimum in place.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -159,17 +163,29 @@ def maxmin_subsample(cloud: PointCloud, n_max: int = DEFAULT_N_MAX, seed: int = 
     if n <= n_max:
         return cloud
     rng = np.random.default_rng(seed)
-    start = int(rng.integers(n))
-    chosen = [start]
-    diff = points - points[start]
-    mind = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    for _ in range(n_max - 1):
-        nxt = int(np.argmax(mind))
-        if mind[nxt] == 0.0:
-            break
-        chosen.append(nxt)
-        diff = points - points[nxt]
-        np.minimum(mind, np.sqrt(np.einsum("ij,ij->i", diff, diff)), out=mind)
+    nxt = int(rng.integers(n))
+    cols = [np.ascontiguousarray(points[:, k]) for k in range(points.shape[1])]
+    mind = np.full(n, np.inf)
+    dist, term = np.empty(n), np.empty(n)
+    chosen = []
+    with np.errstate(over="ignore"):
+        while True:
+            chosen.append(nxt)
+            if len(chosen) == n_max:
+                break
+            np.subtract(cols[0], cols[0][nxt], out=dist)
+            np.multiply(dist, dist, out=dist)
+            for col in cols[1:]:
+                np.subtract(col, col[nxt], out=term)
+                np.multiply(term, term, out=term)
+                np.add(dist, term, out=dist)
+            # roots before argmax: distinct squares can share a root, and the
+            # tie must go to the smallest index among equal roots
+            np.sqrt(dist, out=dist)
+            np.minimum(mind, dist, out=mind)
+            nxt = int(np.argmax(mind))
+            if mind[nxt] == 0.0:
+                break
     return PointCloud(points=points[np.array(chosen)])
 
 

@@ -7,6 +7,11 @@ right with no shortcuts, and read pairs off the pivots.
 The RK4 oracle is the generic tuple form of the step, over fields that take
 and return the whole state as a tuple; ``tuple_rhs`` gives each bundled
 system's equations in that form, written apart from ``hopftda.dynsys``.
+
+The neighbor and landmark oracles are the brute-force forms the sorted sweep
+and the buffered maxmin loop replaced: every pair's squared distance as the
+einsum of explicit differences, in row blocks, and one (N, m) difference per
+landmark.
 """
 
 import itertools
@@ -116,3 +121,47 @@ def tuple_rhs(params):
             return (a - x - 4.0 * x * y / q, b * x * (1.0 - y / q))
 
     return f
+
+
+def brute_nearest_neighbors(points, block_rows=256):
+    """Nearest other point of each point by a full scan in row blocks.
+
+    Ties go to the smallest index. A row whose squared distances all
+    overflow returns index 0, itself for point 0, so compare only where the
+    squares are finite.
+    """
+    n, m = points.shape
+    idx = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=float)
+    rows_per_block = max(1, block_rows // m)
+    for start in range(0, n, rows_per_block):
+        stop = min(start + rows_per_block, n)
+        diff = points[start:stop, None, :] - points[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        rows = np.arange(start, stop)
+        d2[rows - start, rows] = np.inf
+        nearest = np.argmin(d2, axis=1)
+        idx[start:stop] = nearest
+        dist[start:stop] = np.sqrt(d2[rows - start, nearest])
+    return idx, dist
+
+
+def maxmin_indices(points, n_max, seed):
+    """Landmark indices of the greedy farthest-point loop, one (N, m)
+    difference per landmark; None when the cloud has at most n_max points."""
+    n = points.shape[0]
+    if n <= n_max:
+        return None
+    rng = np.random.default_rng(seed)
+    start = int(rng.integers(n))
+    chosen = [start]
+    diff = points - points[start]
+    mind = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    for _ in range(n_max - 1):
+        nxt = int(np.argmax(mind))
+        if mind[nxt] == 0.0:
+            break
+        chosen.append(nxt)
+        diff = points - points[nxt]
+        np.minimum(mind, np.sqrt(np.einsum("ij,ij->i", diff, diff)), out=mind)
+    return chosen

@@ -141,6 +141,33 @@ class TestExperimentConfig:
         err = capsys.readouterr().err
         assert err == "error: config key sweep.count must be an integer, got 21.7\n"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("noise_levels", 0.1, "noise_levels must be a list, got 0.1"),
+        ("noise_levels", [0.0, "0.1"], 'noise_levels[1] must be a number, got "0.1"'),
+        ("critical_reference", [1], "critical_reference must be a number, got [1]"),
+        ("dt", True, "dt must be a number, got true"),
+        ("sweep.min", "abc", 'sweep.min must be a number, got "abc"'),
+        ("sweep.max", None, "sweep.max must be a number, got null"),
+        ("fixed.omega", False, "fixed.omega must be a number, got false"),
+        ("out_dir", 5, "out_dir must be a string, got 5"),
+    ])
+    def test_number_keys_must_be_numbers(self, tmp_path, capsys, key, value, message):
+        d = bundled_config("case_a").to_dict()
+        *section, name = key.split(".")
+        (d[section[0]] if section else d)[name] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: config key {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_values_load_as_floats(self):
+        d = bundled_config("case_a").to_dict()
+        d["dt"], d["noise_levels"], d["sweep"]["max"] = 1, [0, 0.5], 2
+        cfg = ExperimentConfig.from_dict(d)
+        assert (cfg.dt, cfg.noise_levels, cfg.sweep_max) == (1.0, (0.0, 0.5), 2.0)
+        assert type(cfg.dt) is float and type(cfg.noise_levels[0]) is float
+
     def test_records_built_at_load(self, tmp_path):
         with pytest.raises(ValueError, match="tau must be >= 1"):
             tiny_config(tmp_path, tau=0)

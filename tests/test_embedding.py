@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import brute_nearest_neighbors
 from hopftda.dynsys import HopfParams, TimeSeries, TrajectoryConfig, integrate
 from hopftda.embedding import (
     DEFAULT_N_BINS,
+    _nearest_neighbors,
     EmbeddingParams,
     PointCloud,
     delay_embed,
@@ -168,6 +170,68 @@ def test_select_delay_validation():
         select_delay(make_series(np.arange(10.0)), max_lag=9)
     with pytest.raises(ValueError):
         select_delay(make_series(np.arange(100.0)), max_lag=1)
+
+
+# ---------------------------------------------------------- _nearest_neighbors
+
+def _neighbor_clouds(seed, count):
+    """Gaussian clouds, integer lattices (ties), rows repeated 5 times and
+    constant clouds, scaled from 1e-300 (squares underflow) to 1e150."""
+    rng = np.random.default_rng(seed)
+    for c in range(count):
+        n, m = int(rng.integers(2, 301)), int(rng.integers(1, 7))
+        kind = c % 4
+        if kind == 0:
+            points = rng.standard_normal((n, m))
+        elif kind == 1:
+            points = rng.integers(-3, 4, size=(n, m)).astype(float)
+        elif kind == 2:
+            points = np.repeat(rng.standard_normal((-(-n // 5), m)), 5, axis=0)[:n]
+            points = points[rng.permutation(n)]
+        else:
+            points = np.full((n, m), rng.standard_normal())
+        yield points * 10.0 ** rng.uniform(-300.0, 150.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nearest_neighbors_match_brute_force(seed):
+    for points in _neighbor_clouds(seed, 160):
+        idx, dist = _nearest_neighbors(points)
+        ref_idx, ref_dist = brute_nearest_neighbors(points)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist), points.shape
+
+
+def test_nearest_neighbors_match_brute_force_on_series():
+    t = np.arange(3000)
+    noise = np.random.default_rng(0).uniform(-1.0, 1.0, t.size)
+    values = np.cos(2 * np.pi * t / 119.37 + 0.3) + 0.02 * noise
+    for scale in (1.0, 1e-44):
+        series = make_series(scale * values)
+        for m in range(1, 5):
+            points = delay_embed(series, EmbeddingParams(tau=4, m=m)).points
+            idx, dist = _nearest_neighbors(points)
+            ref_idx, ref_dist = brute_nearest_neighbors(points)
+            assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist), (scale, m)
+
+
+def test_nearest_neighbor_is_never_the_point_itself():
+    # every squared distance overflows to inf, so all candidates tie
+    idx, dist = _nearest_neighbors(np.array([[1e200], [3e200], [-2e200]]))
+    assert idx.tolist() == [1, 0, 0]
+    assert np.all(np.isinf(dist))
+    idx, _ = _nearest_neighbors(np.array([[1e200, 0.0], [-1e200, 0.0]]))
+    assert idx.tolist() == [1, 0]
+
+
+def test_nearest_neighbors_constant_and_repeated_rows():
+    idx, dist = _nearest_neighbors(np.ones((3000, 1)))
+    assert idx[0] == 1 and np.all(idx[1:] == 0) and np.all(dist == 0.0)
+    # a repeated row picks its smallest other copy, unless a smaller index
+    # lies at squared distance 0: 1e-200 squared underflows
+    points = np.array([[0.0], [2.0], [1e-200], [9.0], [4.0], [1e-200], [2.0]])
+    idx, dist = _nearest_neighbors(points)
+    assert idx.tolist() == [2, 6, 0, 4, 1, 0, 1]
+    assert dist.tolist() == [0.0, 0.0, 0.0, 5.0, 2.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------- fnn_fraction

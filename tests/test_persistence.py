@@ -15,8 +15,9 @@ import traceback
 import numpy as np
 import pytest
 
-from _oracles import naive_rips_rows, random_cloud
-from hopftda.embedding import PointCloud
+from _oracles import maxmin_indices, naive_rips_rows, random_cloud
+from hopftda.cli import bundled_config
+from hopftda.embedding import PointCloud, delay_embed
 from hopftda.persistence import (
     DistanceMatrix,
     PersistenceDiagram,
@@ -105,6 +106,40 @@ def test_maxmin_distinct_landmarks_from_repeated_points():
     # repeated vertices add only zero-length pairs, which diagrams omit
     full = rips_persistence(pairwise_distances(repeated)).rows()
     assert rips_persistence(pairwise_distances(sub)).rows() == full
+
+
+def _assert_maxmin_matches_oracle(points, n_max, seed):
+    sub = maxmin_subsample(PointCloud(points), n_max=n_max, seed=seed)
+    assert np.array_equal(sub.points, points[maxmin_indices(points, n_max, seed)])
+
+
+def test_maxmin_matches_oracle_on_case_a_clouds():
+    config = bundled_config("case_a")
+    for index, mu in enumerate(config.grid()):
+        points = delay_embed(config.series_at(mu), config.embedding()).points
+        _assert_maxmin_matches_oracle(points, config.n_max, config.seed + index)
+
+
+@pytest.mark.parametrize("n_max", [10, 200, 400])
+def test_maxmin_matches_oracle_randomized(n_max):
+    rng = np.random.default_rng(n_max)
+    for trial in range(30):
+        n, m = int(rng.integers(n_max + 1, 3 * n_max + 50)), int(rng.integers(1, 7))
+        if trial % 2:
+            points = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-40.0, 40.0)
+        else:
+            points = np.repeat(rng.standard_normal((-(-n // 5), m)), 5, axis=0)[:n]
+            points = points[rng.permutation(n)]
+        _assert_maxmin_matches_oracle(points, n_max, trial)
+
+
+def test_maxmin_ties_break_on_roots():
+    # squared distances 2 and 2 + 2^-51 from the start (index 2, seed 0)
+    # share the root sqrt(2), so the smaller index wins
+    points = np.array([[1.0, 1.0], [1.0, 1.0000000000000002], [0.0, 0.0]])
+    sub = maxmin_subsample(PointCloud(points), n_max=2, seed=0)
+    assert sub.points.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert sub.points.tolist() == points[maxmin_indices(points, 2, 0)].tolist()
 
 
 def test_maxmin_rejects_bad_n_max():
