@@ -48,7 +48,13 @@ from .embedding import (
     select_delay,
     select_dimension,
 )
-from .functional import PersistenceConfig, delta_series, estimate_critical, sweep_levels
+from .functional import (
+    DEFAULT_EPS_GRID_SIZE,
+    PersistenceConfig,
+    delta_series,
+    estimate_critical,
+    sweep_levels,
+)
 from .lyapunov import LyapunovConfig, correlate_sweep, largest_lyapunov
 from .persistence import (
     DEFAULT_N_MAX,
@@ -112,10 +118,11 @@ def _text(value, key: str) -> str:
 
 
 # the optional scalars of a config file and their checked conversions; absent
-# or null keeps the default
+# or null keeps the default. The trajectory record's fields go to that record.
 _SCALARS = {"dt": _number, "n_steps": _integer, "transient_steps": _integer,
             "n_max": _integer, "eps_grid_size": _integer, "seed": _integer,
             "out_dir": _text, "critical_reference": _number}
+_TRAJECTORY_KEYS = {f.name for f in fields(TrajectoryConfig)}
 # the keys from_dict reads, per section; the embedding's depend on its mode
 _CONFIG_KEYS = ("system", "fixed", "sweep", "noise_levels", "embedding", *_SCALARS)
 _SWEEP_KEYS = ("name", "min", "max", "count")
@@ -132,7 +139,7 @@ def _reject_unknown(section: dict, known: Sequence[str], prefix: str = "") -> No
 class ExperimentConfig:
     """One reproducible sweep: system, grid, integration, embedding, seeds.
 
-    Auto embedding selects tau (first MI minimum up to lag DEFAULT_MAX_LAG)
+    embedding None selects tau (first MI minimum up to lag DEFAULT_MAX_LAG)
     and m (false nearest neighbors) per series. Loading builds every record
     the config feeds, so a bad value fails here rather than mid-run.
     """
@@ -143,15 +150,11 @@ class ExperimentConfig:
     sweep_max: float
     sweep_count: int
     fixed: Tuple[Tuple[str, float], ...] = ()
-    dt: float = TrajectoryConfig.dt
-    n_steps: int = TrajectoryConfig.n_steps
-    transient_steps: int = TrajectoryConfig.transient_steps
+    trajectory: TrajectoryConfig = TrajectoryConfig()
     noise_levels: Tuple[float, ...] = (0.0,)
-    embedding_mode: str = "fixed"
-    tau: Optional[int] = None
-    m: Optional[int] = None
+    embedding: Optional[EmbeddingParams] = None
     n_max: int = 200
-    eps_grid_size: int = 64
+    eps_grid_size: int = DEFAULT_EPS_GRID_SIZE
     seed: int = 0
     out_dir: str = "results"
     critical_reference: Optional[float] = None
@@ -171,16 +174,6 @@ class ExperimentConfig:
             raise ValueError("need at least one noise level")
         if any(s < 0 for s in self.noise_levels):
             raise ValueError(f"noise levels must be >= 0, got {list(self.noise_levels)}")
-        if self.embedding_mode not in ("fixed", "auto"):
-            raise ValueError(f"embedding mode must be 'fixed' or 'auto', got {self.embedding_mode!r}")
-        if self.embedding_mode == "fixed" and (self.tau is None or self.m is None):
-            raise ValueError("fixed embedding mode requires tau and m")
-        if self.embedding_mode == "auto" and (self.tau is not None or self.m is not None):
-            raise ValueError("auto embedding mode selects tau and m; leave them unset")
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
-        self.trajectory()
-        self.embedding()
         self.persistence()
 
     def grid(self) -> np.ndarray:
@@ -189,16 +182,6 @@ class ExperimentConfig:
         if np.any(np.diff(g) <= 0):
             raise ValueError("sweep grid is not strictly ascending at 12-decimal resolution")
         return g
-
-    def trajectory(self) -> TrajectoryConfig:
-        return TrajectoryConfig(dt=self.dt, n_steps=self.n_steps,
-                                transient_steps=self.transient_steps)
-
-    def embedding(self) -> Optional[EmbeddingParams]:
-        """The fixed (tau, m), or None: select them per series."""
-        if self.embedding_mode == "fixed":
-            return EmbeddingParams(tau=int(self.tau), m=int(self.m))
-        return None
 
     def persistence(self) -> PersistenceConfig:
         return PersistenceConfig(n_max=self.n_max, seed=self.seed, eps_grid_size=self.eps_grid_size)
@@ -210,7 +193,7 @@ class ExperimentConfig:
 
     def series_at(self, value: float) -> TimeSeries:
         """The clean observed series at a grid value (a picklable bound method)."""
-        return integrate(self.params_at(value), self.trajectory())
+        return integrate(self.params_at(value), self.trajectory)
 
     def to_dict(self) -> dict:
         return {
@@ -222,14 +205,14 @@ class ExperimentConfig:
                 "max": self.sweep_max,
                 "count": self.sweep_count,
             },
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "transient_steps": self.transient_steps,
+            "dt": self.trajectory.dt,
+            "n_steps": self.trajectory.n_steps,
+            "transient_steps": self.trajectory.transient_steps,
             "noise_levels": list(self.noise_levels),
             "embedding": (
-                {"mode": "fixed", "tau": self.tau, "m": self.m}
-                if self.embedding_mode == "fixed"
-                else {"mode": "auto"}
+                {"mode": "auto"}
+                if self.embedding is None
+                else {"mode": "fixed", "tau": self.embedding.tau, "m": self.embedding.m}
             ),
             "n_max": self.n_max,
             "eps_grid_size": self.eps_grid_size,
@@ -247,9 +230,10 @@ class ExperimentConfig:
             emb = _object(d.get("embedding", {"mode": "auto"}), "config key embedding")
             fixed = _object(d.get("fixed", {}), "config key fixed")
             _reject_unknown(sweep, _SWEEP_KEYS, "sweep.")
-            # an unknown mode is left for __post_init__ to name
-            known = _EMBEDDING_KEYS.get(emb.get("mode", "fixed"), _EMBEDDING_KEYS["fixed"])
-            _reject_unknown(emb, known, "embedding.")
+            mode = emb.get("mode", "fixed")
+            if mode not in _EMBEDDING_KEYS:
+                raise ValueError(f"embedding mode must be 'fixed' or 'auto', got {mode!r}")
+            _reject_unknown(emb, _EMBEDDING_KEYS[mode], "embedding.")
             levels = d.get("noise_levels", [0.0])
             if not isinstance(levels, list):
                 raise ValueError(f"config key noise_levels must be a list, "
@@ -262,17 +246,17 @@ class ExperimentConfig:
                 sweep_count=_integer(sweep["count"], "sweep.count"),
                 fixed=tuple(sorted((k, _number(v, f"fixed.{k}")) for k, v in fixed.items())),
                 noise_levels=tuple(_number(s, f"noise_levels[{i}]") for i, s in enumerate(levels)),
-                embedding_mode=emb.get("mode", "fixed"),
             )
-            if kwargs["embedding_mode"] == "fixed":
-                kwargs["tau"] = _integer(emb["tau"], "embedding.tau")
-                kwargs["m"] = _integer(emb["m"], "embedding.m")
+            if mode == "fixed":
+                kwargs["embedding"] = EmbeddingParams(tau=_integer(emb["tau"], "embedding.tau"),
+                                                      m=_integer(emb["m"], "embedding.m"))
         except KeyError as exc:
             raise ValueError(f"config is missing required key {exc}") from None
+        trajectory = {}
         for key, convert in _SCALARS.items():
             if d.get(key) is not None:
-                kwargs[key] = convert(d[key], key)
-        return cls(**kwargs)
+                (trajectory if key in _TRAJECTORY_KEYS else kwargs)[key] = convert(d[key], key)
+        return cls(trajectory=TrajectoryConfig(**trajectory), **kwargs)
 
 
 def bundled_config(name: str) -> ExperimentConfig:
@@ -346,7 +330,7 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
     grid = config.grid()
     timings: dict = {}
     results = sweep_levels(grid, config.series_at, config.noise_levels,
-                           config.embedding(), config.persistence(), jobs=jobs, timings=timings)
+                           config.embedding, config.persistence(), jobs=jobs, timings=timings)
     t_render = time.perf_counter()
     multi = len(config.noise_levels) > 1
     entries = []
@@ -365,9 +349,9 @@ def run_case(config: ExperimentConfig, jobs: int = 1) -> int:
             _write_diagram_csv(os.path.join(out, f"diagram_{j:02d}.csv"), diagram.rows())
             points.append({"mu": mu, "status": "ok", "H": float(h), "betti_l1": float(l1)})
         if res.mu_hat is not None:
-            csv_path = os.path.join(out, "sweep.csv")
-            _write_sweep_csv(csv_path, res.params, res.h_values, res.betti_l1)
-            render_svg(csv_path, os.path.join(out, "sweep.svg"), config.critical_reference)
+            _write_sweep_csv(os.path.join(out, "sweep.csv"), res.params, res.h_values, res.betti_l1)
+            render_svg(res.params, res.h_values, os.path.join(out, "sweep.svg"),
+                       config.critical_reference)
         entries.append({"sigma_rel": float(sigma), "points": points, "status": res.status,
                         "mu_hat": res.mu_hat, "dir": subdir})
         logger.info("noise level %g: %s (mu_hat=%s)", sigma, res.status, res.mu_hat)
@@ -456,13 +440,13 @@ _SVG_W, _SVG_H = 640, 400
 _ML, _MR, _MT, _MB = 56, 16, 16, 44
 
 
-def render_svg(csv_path: str, svg_path: str, critical_reference: Optional[float] = None) -> str:
+def render_svg(mus: np.ndarray, hs: np.ndarray, svg_path: str,
+               critical_reference: Optional[float] = None) -> str:
     """Plot H against the parameter as a deterministic standalone SVG.
 
     Dashed vertical markers show the estimated transition and, when given,
     the known critical reference. Identical inputs give identical bytes.
     """
-    mus, hs, _ = read_sweep_csv(csv_path)
     mu_hat = estimate_critical(mus, hs)
 
     x0, x1 = float(mus[0]), float(mus[-1])
@@ -591,11 +575,10 @@ def _lyapunov_grid(args) -> ExperimentConfig:
         return load_config(args.config)
     if args.system is None or args.min is None or args.max is None or args.count is None:
         raise ValueError("lyapunov needs --config, or --system with --min/--max/--count")
-    # embedding fields are unused here; "auto" needs none of them
     return ExperimentConfig(system=args.system,
                             sweep_name=args.sweep_param or SYSTEMS[args.system].swept,
                             sweep_min=args.min, sweep_max=args.max, sweep_count=args.count,
-                            fixed=tuple(_param_flags(args).items()), embedding_mode="auto")
+                            fixed=tuple(_param_flags(args).items()))
 
 
 def _cmd_lyapunov(args) -> int:
@@ -635,7 +618,8 @@ def _cmd_render(args) -> int:
     critical = args.critical
     if args.config is not None:
         critical = load_config(args.config).critical_reference
-    render_svg(args.input, args.out, critical)
+    mus, hs, _ = read_sweep_csv(args.input)
+    render_svg(mus, hs, args.out, critical)
     return 0
 
 

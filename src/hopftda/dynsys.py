@@ -16,9 +16,8 @@ parameter swept across the transition and that parameter's critical value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Tuple, Union
 
 import numpy as np
 
@@ -159,15 +158,6 @@ SystemParams = Union[HopfParams, LorenzParams, BzParams]
 SYSTEMS = {cls.name: cls for cls in (HopfParams, LorenzParams, BzParams)}
 
 
-def _as_state(params: SystemParams, state: Sequence[float]) -> State:
-    """The state as a float tuple, checked against the system dimension."""
-    state = tuple(float(s) for s in state)
-    dim = len(params.initial_state)
-    if len(state) != dim:
-        raise ValueError(f"{params.name} expects state dimension {dim}, got {len(state)}")
-    return state
-
-
 def rk4_stepper(field: Callable[..., State], dim: int, dt: float) -> Callable[..., State]:
     """One classical RK4 step of size ``dt`` for an autonomous field in ``dim``
     coordinates (2 or 3): ``step(*coords)`` returns the next coordinates.
@@ -213,16 +203,15 @@ def rk4_stepper(field: Callable[..., State], dim: int, dt: float) -> Callable[..
 class TrajectoryConfig:
     """Fixed-step integration run description.
 
-    ``n_steps`` RK4 steps of size ``dt`` are taken from ``initial_state``
-    (``None``: the system's default); the first coordinate of the states at
-    steps ``transient_steps .. n_steps-1`` is recorded (pre-step states, so
-    the initial state is included when ``transient_steps`` is 0).
+    ``n_steps`` RK4 steps of size ``dt`` are taken from the system's
+    ``initial_state``; the first coordinate of the states at steps
+    ``transient_steps .. n_steps-1`` is recorded (pre-step states, so the
+    initial state is included when ``transient_steps`` is 0).
     """
 
     dt: float = 0.01
     n_steps: int = 20_000
     transient_steps: int = 10_000
-    initial_state: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -283,8 +272,7 @@ def integrate(params: SystemParams, config: TrajectoryConfig) -> TimeSeries:
     params : SystemParams
         System and parameter values.
     config : TrajectoryConfig
-        Step size, lengths and initial state. A ``None`` initial state
-        selects the per-system default.
+        Step size and lengths; the run starts from ``params.initial_state``.
 
     Returns
     -------
@@ -298,14 +286,9 @@ def integrate(params: SystemParams, config: TrajectoryConfig) -> TimeSeries:
         If the state leaves the finite range; the exception names the step
         index reached.
     """
-    init = config.initial_state
-    init = _as_state(params, params.initial_state if init is None else init)
-    if not all(math.isfinite(s) for s in init):
-        raise ValueError("initial_state must be finite")
-
     dt, transient = config.dt, config.transient_steps
-    step = rk4_stepper(params.rhs(), len(init), dt)
-    state = init
+    state = params.initial_state
+    step = rk4_stepper(params.rhs(), len(state), dt)
     for k in range(transient):
         state = step(*state)
         for s in state:

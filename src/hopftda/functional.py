@@ -69,8 +69,8 @@ class PersistenceConfig:
     eps_grid_size: int = DEFAULT_EPS_GRID_SIZE
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max < 2:
+            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
         if self.eps_grid_size < 2:
             raise ValueError(f"eps_grid_size must be >= 2, got {self.eps_grid_size}")
 
@@ -91,11 +91,6 @@ class SweepResult:
     mu_hat: Optional[float]
     diagrams: Tuple[PersistenceDiagram, ...] = ()
     failures: Tuple[Tuple[float, str], ...] = ()
-
-    @property
-    def delta_h(self) -> np.ndarray:
-        """|h_values[i+1] - h_values[i]|; empty below 2 values."""
-        return np.abs(np.diff(self.h_values))
 
     @property
     def status(self) -> str:

@@ -70,7 +70,7 @@ def level_arrays(summary, level=0):
 
 def series_factory(cfg: ExperimentConfig, sigma_rel=0.0, seed=0):
     def factory(mu):
-        return add_noise(integrate(cfg.params_at(mu), cfg.trajectory()),
+        return add_noise(integrate(cfg.params_at(mu), cfg.trajectory),
                          NoiseSpec(sigma_rel, seed=seed))
 
     return factory
@@ -137,7 +137,7 @@ def test_case_a_detection(case_a):
     check(fails, below.size > 0 and np.all(below < 0.05),
           f"H up to {below.max():.3g} for mu <= -0.2")
     three = run_sweep([0.25, 0.5, 1.0], series_factory(cfg),
-                      cfg.embedding(), cfg.persistence())
+                      cfg.embedding, cfg.persistence())
     increasing = np.all(np.diff(three.h_values) > 0)
     check(fails, increasing, f"H over {{0.25,0.5,1.0}} = {three.h_values} not increasing")
     check(fails, elapsed < 120.0, f"took {elapsed:.0f}s, budget 120s")

@@ -4,6 +4,7 @@ import json
 import os
 import re
 from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hopftda.cli import (
 )
 from hopftda.dynsys import NoiseSpec, TrajectoryConfig, add_noise, integrate
 from hopftda.embedding import EmbeddingParams, fnn_fraction, select_dimension
-from hopftda.functional import PersistenceConfig, run_sweep
+from hopftda.functional import DEFAULT_EPS_GRID_SIZE, PersistenceConfig, run_sweep
 
 
 def tiny_config(out_dir, **overrides):
@@ -35,13 +36,9 @@ def tiny_config(out_dir, **overrides):
         sweep_max=1.0,
         sweep_count=5,
         fixed=(("omega", 1.0),),
-        dt=0.01,
-        n_steps=3000,
-        transient_steps=1500,
+        trajectory=TrajectoryConfig(dt=0.01, n_steps=3000, transient_steps=1500),
         noise_levels=(0.0,),
-        embedding_mode="fixed",
-        tau=26,
-        m=2,
+        embedding=EmbeddingParams(tau=26, m=2),
         n_max=60,
         seed=0,
         out_dir=str(out_dir),
@@ -68,6 +65,15 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
+    @pytest.mark.parametrize("name,mode", [
+        ("case_a", "fixed"), ("case_b", "fixed"), ("case_c", "fixed"), ("case_a", "auto"),
+    ])
+    def test_to_dict_reproduces_the_loaded_dict(self, name, mode):
+        d = json.loads(resources.files("hopftda.configs").joinpath(f"{name}.json").read_text())
+        if mode == "auto":
+            d["embedding"] = {"mode": "auto"}
+        assert ExperimentConfig.from_dict(d).to_dict() == d
+
     def test_count_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="count"):
             tiny_config(tmp_path, sweep_count=1)
@@ -81,10 +87,18 @@ class TestExperimentConfig:
             tiny_config(tmp_path, noise_levels=(-0.1,))
         with pytest.raises(ValueError, match="collides"):
             tiny_config(tmp_path, fixed=(("mu", 0.0),))
-        with pytest.raises(ValueError, match="tau and m"):
-            tiny_config(tmp_path, tau=None)
-        with pytest.raises(ValueError, match="mode"):
-            tiny_config(tmp_path, embedding_mode="manual")
+
+    def test_embedding_mode_checked_at_load(self):
+        d = bundled_config("case_a").to_dict()
+        d["embedding"]["mode"] = "manual"
+        with pytest.raises(ValueError,
+                           match="^embedding mode must be 'fixed' or 'auto', got 'manual'$"):
+            ExperimentConfig.from_dict(d)
+        d["embedding"] = {"mode": "fixed", "m": 2}
+        with pytest.raises(ValueError, match="^config is missing required key 'tau'$"):
+            ExperimentConfig.from_dict(d)
+        d["embedding"] = {"tau": 26, "m": 2}  # a section without a mode is fixed
+        assert ExperimentConfig.from_dict(d).embedding == EmbeddingParams(tau=26, m=2)
 
     @pytest.mark.parametrize("section,key", [
         (None, "n_step"), ("sweep", "cout"), ("embedding", "tau"), ("embedding", "max_lag"),
@@ -165,31 +179,39 @@ class TestExperimentConfig:
         d = bundled_config("case_a").to_dict()
         d["dt"], d["noise_levels"], d["sweep"]["max"] = 1, [0, 0.5], 2
         cfg = ExperimentConfig.from_dict(d)
-        assert (cfg.dt, cfg.noise_levels, cfg.sweep_max) == (1.0, (0.0, 0.5), 2.0)
-        assert type(cfg.dt) is float and type(cfg.noise_levels[0]) is float
+        assert (cfg.trajectory.dt, cfg.noise_levels, cfg.sweep_max) == (1.0, (0.0, 0.5), 2.0)
+        assert type(cfg.trajectory.dt) is float and type(cfg.noise_levels[0]) is float
 
-    def test_records_built_at_load(self, tmp_path):
-        with pytest.raises(ValueError, match="tau must be >= 1"):
-            tiny_config(tmp_path, tau=0)
-        d = bundled_config("case_a").to_dict()
-        d["embedding"]["tau"] = 0
-        with pytest.raises(ValueError, match="tau must be >= 1"):
-            ExperimentConfig.from_dict(d)
-        with pytest.raises(ValueError, match="eps_grid_size"):
-            tiny_config(tmp_path, eps_grid_size=1)
-        with pytest.raises(ValueError, match="auto embedding mode"):
-            tiny_config(tmp_path, embedding_mode="auto")
+    def test_records_built_at_load(self):
+        for key, value, message in [
+            ("embedding.tau", 0, "tau must be >= 1, got 0"),
+            ("dt", 0, "dt must be > 0, got 0.0"),
+            ("transient_steps", 20000, "transient_steps must be in [0, n_steps), got 20000"),
+            ("n_max", 1, "n_max must be >= 2, got 1"),
+            ("eps_grid_size", 1, "eps_grid_size must be >= 2, got 1"),
+        ]:
+            d = bundled_config("case_a").to_dict()
+            *section, name = key.split(".")
+            (d[section[0]] if section else d)[name] = value
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig.from_dict(d)
+
+    def test_records_are_stored(self, tmp_path):
         cfg = tiny_config(tmp_path, eps_grid_size=32)
-        assert cfg.trajectory() == TrajectoryConfig(dt=0.01, n_steps=3000, transient_steps=1500)
-        assert cfg.embedding() == EmbeddingParams(tau=26, m=2)
+        assert cfg.trajectory == TrajectoryConfig(dt=0.01, n_steps=3000, transient_steps=1500)
+        assert cfg.embedding == EmbeddingParams(tau=26, m=2)
         assert cfg.persistence() == PersistenceConfig(n_max=60, seed=0, eps_grid_size=32)
+        default = ExperimentConfig(system="hopf", sweep_name="mu", sweep_min=-1.0,
+                                   sweep_max=1.0, sweep_count=3)
+        assert (default.trajectory, default.embedding) == (TrajectoryConfig(), None)
+        assert default.eps_grid_size == DEFAULT_EPS_GRID_SIZE
 
     def test_auto_round_trip(self, tmp_path):
-        cfg = tiny_config(tmp_path, embedding_mode="auto", tau=None, m=None)
+        cfg = tiny_config(tmp_path, embedding=None)
         d = json.loads(json.dumps(cfg.to_dict()))
         assert d["embedding"] == {"mode": "auto"}
         assert ExperimentConfig.from_dict(d) == cfg
-        assert cfg.embedding() is None
+        assert cfg.embedding is None
 
     def test_grid_endpoints(self, tmp_path):
         g = tiny_config(tmp_path).grid()
@@ -223,7 +245,7 @@ class TestRunCase:
         mus, hs, l1s = read_sweep_csv(out / "sweep.csv")
 
         def factory(mu):
-            return add_noise(integrate(cfg.params_at(mu), cfg.trajectory()),
+            return add_noise(integrate(cfg.params_at(mu), cfg.trajectory),
                              NoiseSpec(0.0, seed=0))
 
         res = run_sweep(cfg.grid(), factory, EmbeddingParams(tau=26, m=2), cfg.persistence())
@@ -252,7 +274,7 @@ class TestRunCase:
 
     def test_noise_levels_get_subdirs(self, tmp_path):
         cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02), sweep_count=3,
-                          n_steps=2000, transient_steps=1000)
+                          trajectory=TrajectoryConfig(n_steps=2000, transient_steps=1000))
         assert run_case(cfg, jobs=1) == 0
         assert (tmp_path / "noise_00" / "sweep.csv").exists()
         assert (tmp_path / "noise_01" / "sweep.csv").exists()
@@ -267,8 +289,7 @@ class TestRunCase:
         assert_golden("tiny_two_level", tmp_path)
 
     def test_auto_two_level_golden_digests(self, tmp_path):
-        cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02), embedding_mode="auto",
-                          tau=None, m=None)
+        cfg = tiny_config(tmp_path, noise_levels=(0.0, 0.02), embedding=None)
         assert run_case(cfg, jobs=1) == 0
         assert_golden("tiny_auto", tmp_path)
 
@@ -282,8 +303,8 @@ class TestRunCase:
         # dt far beyond the stability limit makes every grid point diverge
         cfg = ExperimentConfig(
             system="lorenz", sweep_name="rho", sweep_min=25.0, sweep_max=30.0,
-            sweep_count=3, dt=5.0, n_steps=50, transient_steps=10,
-            embedding_mode="fixed", tau=2, m=2, n_max=20, out_dir=str(tmp_path),
+            sweep_count=3, trajectory=TrajectoryConfig(dt=5.0, n_steps=50, transient_steps=10),
+            embedding=EmbeddingParams(tau=2, m=2), n_max=20, out_dir=str(tmp_path),
         )
         assert run_case(cfg, jobs=1) == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -426,11 +447,10 @@ ACCEPTED_FLAGS = {
 # every value a caller can set on the records and selectors of the pipeline
 SETTABLE = {
     "ExperimentConfig": {"system", "sweep_name", "sweep_min", "sweep_max", "sweep_count",
-                         "fixed", "dt", "n_steps", "transient_steps", "noise_levels",
-                         "embedding_mode", "tau", "m", "n_max", "eps_grid_size", "seed",
-                         "out_dir", "critical_reference"},
+                         "fixed", "trajectory", "noise_levels", "embedding", "n_max",
+                         "eps_grid_size", "seed", "out_dir", "critical_reference"},
     "PersistenceConfig": {"n_max", "seed", "eps_grid_size"},
-    "TrajectoryConfig": {"dt", "n_steps", "transient_steps", "initial_state"},
+    "TrajectoryConfig": {"dt", "n_steps", "transient_steps"},
     "select_dimension": set(),
     "fnn_fraction": set(),
 }
@@ -443,7 +463,7 @@ def test_every_settable_value_is_listed():
         got[fn.__name__] = {p.name for p in inspect.signature(fn).parameters.values()
                             if p.default is not p.empty}
     assert got == SETTABLE
-    assert sum(len(names) for names in got.values()) == 25
+    assert sum(len(names) for names in got.values()) == 20
 
 
 class TestFlags:
@@ -590,53 +610,48 @@ def test_subcommand_golden_digest(subcommand_outputs, name):
 
 
 class TestRenderSvg:
-    def write_two_rows(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n1.0,0.5,0.6,0.4\n")
-        return str(path)
+    MUS, HS = np.array([0.0, 1.0]), np.array([0.1, 0.5])
 
     def test_two_row_polyline(self, tmp_path):
-        csv_path = self.write_two_rows(tmp_path)
-        text = render_svg(csv_path, str(tmp_path / "o.svg"))
+        text = render_svg(self.MUS, self.HS, str(tmp_path / "o.svg"))
         assert text.count("<polyline") == 1
         pts = text.split('points="')[1].split('"')[0]
         assert len(pts.split()) == 2
 
     def test_byte_identical_reruns(self, tmp_path):
-        csv_path = self.write_two_rows(tmp_path)
-        a = render_svg(csv_path, str(tmp_path / "a.svg"), critical_reference=0.3)
-        b = render_svg(csv_path, str(tmp_path / "b.svg"), critical_reference=0.3)
+        a = render_svg(self.MUS, self.HS, str(tmp_path / "a.svg"), critical_reference=0.3)
+        b = render_svg(self.MUS, self.HS, str(tmp_path / "b.svg"), critical_reference=0.3)
         assert a == b
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
     def test_markers(self, tmp_path):
-        csv_path = self.write_two_rows(tmp_path)
-        with_ref = render_svg(csv_path, str(tmp_path / "a.svg"), critical_reference=0.25)
+        with_ref = render_svg(self.MUS, self.HS, str(tmp_path / "a.svg"), critical_reference=0.25)
         assert 'class="critical"' in with_ref
         assert 'class="mu-hat"' in with_ref
-        out_of_range = render_svg(csv_path, str(tmp_path / "b.svg"), critical_reference=7.0)
+        out_of_range = render_svg(self.MUS, self.HS, str(tmp_path / "b.svg"),
+                                  critical_reference=7.0)
         assert 'class="critical"' not in out_of_range
 
-    def test_non_numeric_cell_names_row(self, tmp_path):
+    def render_fails(self, tmp_path, capsys, text: str, message: str) -> None:
+        """hopftda render on a sweep CSV with the given text exits 2, naming the defect."""
         path = tmp_path / "bad.csv"
-        path.write_text("mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n1.0,oops,0.6,0.4\n")
-        with pytest.raises(ValueError, match="row 3"):
-            render_svg(str(path), str(tmp_path / "o.svg"))
+        path.write_text(text)
+        assert main(["render", "--in", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.svg").exists()
 
-    def test_short_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n1.0,0.5\n")
-        with pytest.raises(ValueError, match="row 3"):
-            render_svg(str(path), str(tmp_path / "o.svg"))
+    def test_non_numeric_cell_names_row(self, tmp_path, capsys):
+        self.render_fails(tmp_path, capsys,
+                          "mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n1.0,oops,0.6,0.4\n", "row 3")
 
-    def test_first_delta_must_be_blank(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("mu,H,betti_l1,delta_H\n0.0,0.1,0.2,0.0\n1.0,0.5,0.6,0.4\n")
-        with pytest.raises(ValueError, match="delta_H"):
-            render_svg(str(path), str(tmp_path / "o.svg"))
+    def test_short_row_rejected(self, tmp_path, capsys):
+        self.render_fails(tmp_path, capsys, "mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n1.0,0.5\n",
+                          "row 3")
 
-    def test_single_row_rejected(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n")
-        with pytest.raises(ValueError, match="2 data rows"):
-            render_svg(str(path), str(tmp_path / "o.svg"))
+    def test_first_delta_must_be_blank(self, tmp_path, capsys):
+        self.render_fails(tmp_path, capsys,
+                          "mu,H,betti_l1,delta_H\n0.0,0.1,0.2,0.0\n1.0,0.5,0.6,0.4\n", "delta_H")
+
+    def test_single_row_rejected(self, tmp_path, capsys):
+        self.render_fails(tmp_path, capsys, "mu,H,betti_l1,delta_H\n0.0,0.1,0.2,\n",
+                          "2 data rows")

@@ -39,13 +39,6 @@ def test_vector_field_bz_substitution():
     assert BzParams(a=10.0, b=3.0).rhs()(1.0, 1.0) == (7.0, 1.5)
 
 
-def test_vector_field_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        integrate(HopfParams(mu=0.0), TrajectoryConfig(initial_state=(0.0, 0.0, 0.0)))
-    with pytest.raises(ValueError, match="dimension"):
-        integrate(LorenzParams(), TrajectoryConfig(initial_state=(1.0, 1.0)))
-
-
 def test_state_dims():
     assert len(HopfParams.initial_state) == 2
     assert len(LorenzParams.initial_state) == 3
@@ -82,6 +75,9 @@ def test_rk4_scalar_exponential_one_step():
 
 def test_rk4_fixed_point_invariance():
     assert rk4_stepper(HopfParams(mu=0.5).rhs(), 2, 0.05)(0.0, 0.0) == (0.0, 0.0)
+    # the Lorenz origin is a fixed point for any parameters
+    lorenz = LorenzParams(10.0, 28.0, 8.0 / 3.0).rhs()
+    assert rk4_stepper(lorenz, 3, 0.01)(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_rk4_step_halving_oracle_lorenz():
@@ -165,16 +161,6 @@ def test_hopf_limit_cycle_amplitude(mu):
     series = integrate(HopfParams(mu=mu), TrajectoryConfig())
     amplitude = float(np.max(np.abs(series.values)))
     assert amplitude == pytest.approx(math.sqrt(mu), rel=0.02)
-
-
-def test_integrate_equilibrium_constant_series():
-    # Lorenz origin is a fixed point for any parameters
-    series = integrate(
-        LorenzParams(10.0, 28.0, 8.0 / 3.0),
-        TrajectoryConfig(dt=0.01, n_steps=500, transient_steps=0,
-                         initial_state=(0.0, 0.0, 0.0)),
-    )
-    assert np.max(np.abs(series.values)) < 1e-9
 
 
 def test_integrate_divergence_reports_step():

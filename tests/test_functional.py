@@ -202,7 +202,7 @@ def test_run_sweep_detects_synthetic_transition():
     assert np.all(below < 0.05)
     assert np.all(above > 0.5)
     assert len(result.diagrams) == 21
-    assert result.delta_h.tolist() == np.abs(np.diff(result.h_values)).tolist()
+    assert delta_series(result.h_values).tolist() == np.abs(np.diff(result.h_values)).tolist()
 
 
 def test_run_sweep_identical_series_flat():
@@ -213,7 +213,7 @@ def test_run_sweep_identical_series_flat():
         embedding=EmbeddingParams(tau=25, m=2),
     )
     assert np.all(result.h_values == result.h_values[0])
-    assert np.all(result.delta_h == 0.0)
+    assert np.all(delta_series(result.h_values) == 0.0)
     assert result.mu_hat == 1.0  # all-zero deltas tie to the smallest index
 
 

@@ -116,7 +116,7 @@ def _assert_maxmin_matches_oracle(points, n_max, seed):
 def test_maxmin_matches_oracle_on_case_a_clouds():
     config = bundled_config("case_a")
     for index, mu in enumerate(config.grid()):
-        points = delay_embed(config.series_at(mu), config.embedding()).points
+        points = delay_embed(config.series_at(mu), config.embedding).points
         _assert_maxmin_matches_oracle(points, config.n_max, config.seed + index)
 
 
