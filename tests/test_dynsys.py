@@ -163,6 +163,20 @@ def test_hopf_limit_cycle_amplitude(mu):
     assert amplitude == pytest.approx(math.sqrt(mu), rel=0.02)
 
 
+class _LorenzFromOrigin(LorenzParams):
+    initial_state = (0.0, 0.0, 0.0)
+
+
+def test_integrate_equilibrium_constant_series():
+    # Lorenz origin is a fixed point for any parameters
+    series = integrate(
+        _LorenzFromOrigin(10.0, 28.0, 8.0 / 3.0),
+        TrajectoryConfig(dt=0.01, n_steps=500, transient_steps=0),
+    )
+    assert len(series) == 500
+    assert np.max(np.abs(series.values)) < 1e-9
+
+
 def test_integrate_divergence_reports_step():
     with pytest.raises(IntegrationDiverged) as err:
         integrate(
